@@ -9,7 +9,7 @@ overhead meters).
 The default substrate is the fluid model (DESIGN.md §2) on a
 64-host fabric; pass ``simulator="packet"`` for packet-level runs
 (slower, smaller horizons) or ``simulator="fluid_shard"`` for the
-spatially-sharded multi-pod fat-tree (docs/TOPOLOGIES.md).  Learning
+multi-pod fat-tree (docs/TOPOLOGIES.md).  Learning
 schemes are offline pre-trained on an identically-distributed training
 run before the measured run, exactly the paper's hybrid offline+online
 regime (§4.4).
@@ -75,7 +75,6 @@ class ScenarioConfig:
     packet: TopologyConfig = field(default_factory=TopologyConfig)
     # sharded fat-tree fabric (docs/TOPOLOGIES.md)
     fattree: FatTreeConfig = field(default_factory=FatTreeConfig)
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.simulator not in ("fluid", "packet", "fluid_shard"):
@@ -134,7 +133,7 @@ def _make_network(cfg: ScenarioConfig, seed: int):
     if cfg.simulator == "fluid":
         return FluidNetwork(cfg.fluid, seed=seed)
     if cfg.simulator == "fluid_shard":
-        return ShardedFluidNetwork(cfg.fattree, shards=cfg.shards, seed=seed)
+        return ShardedFluidNetwork(cfg.fattree, seed=seed)
     return PacketNetwork(cfg.packet, seed=seed)
 
 

@@ -8,8 +8,9 @@ Times the four hot paths the :mod:`repro.fastpath` work optimizes —
   cross-agent inference, vectorized GAE, fused Adam),
 - ``packet_sim``  — the packet-level event simulator (tuple-heap event
   loop, O(1) ``pending()``, baseline-list ``queue_stats``),
-- ``fluid_sim``   — the fluid simulator (scratch-buffer ``_step_fast``,
-  cached per-switch stats indices) —
+- ``fluid_sim``   — the fluid simulator (the shared scratch-buffer Δt
+  kernel of :mod:`repro.netsim.kernel`, cached per-switch stats
+  indices) —
 
 running each once with ``fastpath=False`` (the pre-existing reference
 implementations) and once with ``fastpath=True``, verifying the two
@@ -268,123 +269,6 @@ def _build_sim_batch(fastpath: bool, quick: bool
     return run, f"replicas={R} intervals={intervals}"
 
 
-def _build_sim_shard(fastpath: bool, quick: bool
-                     ) -> Tuple[Callable[[], Any], str]:
-    """Spatial sharding: a multi-pod fat-tree, monolithic vs 4 shards.
-
-    The two legs repurpose the fastpath switch: ``fastpath=False`` steps
-    the whole fabric as one subdomain group (``shards=1``);
-    ``fastpath=True`` splits it into 4 shard groups stepped per Δt with
-    boundary arrivals exchanged through the global flow phase.  The
-    fingerprinted interval stats and final queue state must be
-    bit-identical across legs (the sharding contract;
-    ``tests/test_shard.py``).  Full mode uses the 80-switch
-    production-scale fabric — the capacity headline — quick mode the
-    10-switch small one.
-    """
-    from repro.netsim.ecn import ECNConfig
-    from repro.netsim.fattree import FatTreeConfig
-    from repro.netsim.flow import Flow
-    from repro.netsim.shard import ShardedFluidNetwork
-    from repro.obs.trace import get_tracer
-
-    if quick:
-        # same 4-pod shape as full mode (so the quick speedup tracks the
-        # committed full-mode baseline), just a narrower fabric
-        cfg = FatTreeConfig(n_pods=4, edge_per_pod=2, agg_per_pod=2,
-                            core_per_agg=1, hosts_per_edge=4)
-        n_flows, intervals = 120, 30
-    else:
-        cfg = FatTreeConfig.production_scale()
-        n_flows, intervals = 400, 60
-    shards = 4 if fastpath else 1
-    net = ShardedFluidNetwork(cfg, shards=shards, seed=0)
-    net.set_ecn_all(ECNConfig(kmin_bytes=20_000, kmax_bytes=80_000,
-                              pmax=0.2))
-    rng = np.random.default_rng(11)
-    flows = []
-    for i in range(n_flows):
-        src, dst = rng.choice(cfg.n_hosts, size=2, replace=False)
-        flows.append(Flow(i, f"h{src}", f"h{dst}",
-                          int(rng.integers(100_000, 4_000_000)),
-                          start_time=float(rng.uniform(0, 5e-3))))
-    net.start_flows(flows)
-
-    def run():
-        tr = get_tracer()
-        stats = []
-        for i in range(intervals):
-            with tr.span("net.advance", interval=i):
-                net.advance(1e-3)
-            with tr.span("net.queue_stats", interval=i):
-                stats.append(net.queue_stats())
-        return {"stats": stats, "q_len": net.q_len.copy(),
-                "memory": net.memory_report()}
-
-    return run, f"switches={cfg.n_switches} shards={shards}"
-
-
-def _build_sim_shard_xl(fastpath: bool, quick: bool
-                        ) -> Tuple[Callable[[], Any], str]:
-    """Flow-phase sharding at the 10k-host scale (ISSUE 10 headline).
-
-    Same leg semantics as ``sim_shard`` — ``fastpath=False`` steps one
-    shard group, ``fastpath=True`` eight — but on the
-    :meth:`~repro.netsim.fattree.FatTreeConfig.scale_xl` fabric (16
-    pods, 416 switches, 10240 hosts), where the *flow table itself* is
-    partitioned per owner pod: per-Δt NIC sharing, AIMD and finish
-    detection cost scales with the largest pod's flow count, not the
-    fabric total.  The result carries the per-shard ``memory_report()``
-    and the flow-balance evidence (max per-pod vs total active flows);
-    both legs must fingerprint bit-identically.  Quick mode runs the
-    same 16-pod shape narrowed to ~1k hosts.
-    """
-    from repro.netsim.ecn import ECNConfig
-    from repro.netsim.fattree import FatTreeConfig
-    from repro.netsim.flow import Flow
-    from repro.netsim.shard import ShardedFluidNetwork
-    from repro.obs.trace import get_tracer
-
-    if quick:
-        # 16 pods so shards=8 still groups >1 subdomain per shard
-        cfg = FatTreeConfig(n_pods=16, edge_per_pod=4, agg_per_pod=4,
-                            core_per_agg=2, hosts_per_edge=16)
-        n_flows, intervals = 400, 5
-    else:
-        cfg = FatTreeConfig.scale_xl()
-        n_flows, intervals = 2000, 20
-    shards = 8 if fastpath else 1
-    net = ShardedFluidNetwork(cfg, shards=shards, seed=0)
-    net.set_ecn_all(ECNConfig(kmin_bytes=20_000, kmax_bytes=80_000,
-                              pmax=0.2))
-    rng = np.random.default_rng(17)
-    flows = []
-    for i in range(n_flows):
-        src, dst = rng.choice(cfg.n_hosts, size=2, replace=False)
-        flows.append(Flow(i, f"h{src}", f"h{dst}",
-                          int(rng.integers(100_000, 4_000_000)),
-                          start_time=float(rng.uniform(0, 5e-3))))
-    net.start_flows(flows)
-
-    def run():
-        tr = get_tracer()
-        stats = []
-        for i in range(intervals):
-            with tr.span("net.advance", interval=i):
-                net.advance(1e-3)
-            with tr.span("net.queue_stats", interval=i):
-                stats.append(net.queue_stats())
-        per_pod = [int(sh.f_active[:sh._n_flows].sum())
-                   for sh in net.flow_shards]
-        return {"stats": stats, "q_len": net.q_len.copy(),
-                "memory": net.memory_report(),
-                "flow_balance": {"max_per_pod": max(per_pod),
-                                 "total_active": sum(per_pod),
-                                 "boundary_rows": net._last_boundary_rows}}
-
-    return run, f"hosts={cfg.n_hosts} shards={shards}"
-
-
 HOTPATH_WORKLOADS: Dict[str, Callable[[bool, bool],
                                       Tuple[Callable[[], Any], str]]] = {
     "tick_loop": _build_tick_loop,
@@ -392,8 +276,6 @@ HOTPATH_WORKLOADS: Dict[str, Callable[[bool, bool],
     "packet_sim": _build_packet_sim,
     "fluid_sim": _build_fluid_sim,
     "sim_batch": _build_sim_batch,
-    "sim_shard": _build_sim_shard,
-    "sim_shard_xl": _build_sim_shard_xl,
 }
 
 

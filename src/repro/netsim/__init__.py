@@ -25,13 +25,12 @@ Fluid model
 :mod:`repro.netsim.fluid` is a time-stepped rate/queue model exposing the
 same per-switch statistics interface; it is orders of magnitude faster
 and is what the RL training sweeps in the benchmark harness run on.
-:mod:`repro.netsim.batchfluid` steps R independent fluid replicas as one
-``(R, n, H)`` tensor program, bit-identical per replica to solo runs.
-:mod:`repro.netsim.shard` steps a multi-pod fat-tree as per-pod
-subdomains with pod-owned flow tables, exchanging compact boundary
-aggregates each Δt — ``shards=N`` is bit-identical to ``shards=1``,
-in-process or across :class:`repro.parallel.Engine` workers (zero-copy
-via a shared-memory arena when available).
+Three front-ends share one Δt kernel (:mod:`repro.netsim.kernel`) over
+segment-blocked flow storage: :mod:`repro.netsim.fluid` (a leaf–spine,
+one segment), :mod:`repro.netsim.batchfluid` (R independent replicas as
+one ``(R, n, H)`` tensor program, bit-identical per replica to solo
+runs) and :mod:`repro.netsim.shard` (a multi-pod fat-tree with one
+pod-owned flow table per segment).
 """
 
 from repro.netsim.engine import Simulator, Event

@@ -10,8 +10,8 @@ This module is the topology half of that step:
 - :class:`FatTreeTopology` instantiates it at packet level alongside
   :class:`repro.netsim.topology.LeafSpineTopology` (same duck-typed
   surface, so :class:`repro.netsim.network.PacketNetwork` drives either);
-- the sharded fluid model (:mod:`repro.netsim.shard`) steps the same
-  shape one subdomain per pod.
+- the fat-tree fluid model (:mod:`repro.netsim.shard`) steps the same
+  shape with one flow table per pod.
 
 Naming: hosts are global ``h{i}``; switches are ``pod{p}.edge{e}``,
 ``pod{p}.agg{a}`` (pod-local indices) and ``core{c}``.  Global switch
@@ -174,8 +174,9 @@ class FatTreeConfig:
     def production_scale(cls) -> "FatTreeConfig":
         """The capacity headline: 8 pods, 80 switches, 256 hosts.
 
-        Too many switches for the monolithic leaf–spine layout — this
-        is the shape the sharded stepper exists for (ROADMAP item 2).
+        Too many switches for the monolithic leaf–spine layout — the
+        shape of the fat-tree's golden fingerprints
+        (``tests/test_fattree_golden.py``).
         """
         return cls(n_pods=8, edge_per_pod=4, agg_per_pod=4, core_per_agg=4,
                    hosts_per_edge=8)
@@ -184,11 +185,8 @@ class FatTreeConfig:
     def scale_xl(cls) -> "FatTreeConfig":
         """The 10k-host shape: 16 pods, 416 switches, 10240 hosts.
 
-        The flow-table-sharding headline (ROADMAP item 2 follow-on) and
-        the fabric behind the ``sim_shard_xl`` hotpath workload: 15360
-        queues in 17 subdomain blocks, with per-Δt flow-phase cost
-        scaling with the *largest pod's* flow count rather than the
-        fabric total.
+        The fabric of the ``fabric_xl`` end-to-end benchmark workload:
+        15360 queues, 16 pod-owned flow tables.
         """
         return cls(n_pods=16, edge_per_pod=16, agg_per_pod=8,
                    core_per_agg=4, hosts_per_edge=40)

@@ -18,7 +18,10 @@ The per-switch statistics interface (``advance`` / ``queue_stats`` /
 ACC and the static baselines run unmodified on either simulator.  The
 test suite cross-validates the two models' queue dynamics.
 
-All per-step work is vectorized over flows and queues with NumPy.
+All per-step work is vectorized over flows and queues with NumPy; the
+production step is the shared kernel in :mod:`repro.netsim.kernel`,
+and :meth:`FluidNetwork._step` (``fastpath=False``) is the reference it
+is proved bit-identical against.
 """
 
 from __future__ import annotations
@@ -31,13 +34,14 @@ import numpy as np
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.ecn import SECN1 as _DEFAULT_ECN
 from repro.netsim.flow import Flow
+from repro.netsim.kernel import SegmentKernel
 from repro.netsim.network import QueueStats
 from repro.netsim.queueing import FlowObservation
 from repro.netsim.routing import ecmp_hash
 from repro.obs.metrics import get_registry
 
 __all__ = ["FluidConfig", "FluidNetwork", "FlowTableMixin",
-           "SwitchStatsMixin", "integrate_queue_block"]
+           "SwitchStatsMixin"]
 
 
 @dataclass
@@ -114,77 +118,32 @@ class FluidConfig:
                    host_rate_bps=10e9, spine_rate_bps=40e9)
 
 
-def integrate_queue_block(q_len: np.ndarray, q_cap: np.ndarray,
-                          kmin: np.ndarray, kmax: np.ndarray,
-                          pmax: np.ndarray, arrival: np.ndarray,
-                          dt: float, buffer_bytes: float) -> Tuple[
-                              np.ndarray, np.ndarray, np.ndarray,
-                              np.ndarray, np.ndarray]:
-    """One Δt of queue integration + RED marking for a block of queues.
-
-    Returns ``(served_rate, new_qlen, drops, p_mark, srv_ratio)``.  This
-    is the spatially-decomposable core of the fluid step: every
-    operation is elementwise per queue, so evaluating it on a slice of
-    the global arrays produces bit-identically the elements the whole-
-    array call would — which is what lets :mod:`repro.netsim.shard` run
-    disjoint subdomain blocks in any grouping (or other processes) and
-    merge the results back without changing a single bit.  The op order
-    is the reference :meth:`FluidNetwork._step` order; keep them in
-    lockstep.
-    """
-    served_rate = np.minimum(arrival + q_len / dt, q_cap)
-    new_qlen = np.clip(q_len + (arrival - q_cap) * dt, 0.0, None)
-    overflow = new_qlen - buffer_bytes
-    drops = np.clip(overflow, 0.0, None)
-    new_qlen = np.minimum(new_qlen, buffer_bytes)
-    # RED mark probability on instantaneous occupancy
-    span = np.maximum(kmax - kmin, 1.0)
-    p_mark = np.clip((new_qlen - kmin) / span, 0.0, 1.0) * pmax
-    p_mark = np.where(new_qlen >= kmax, 1.0, p_mark)
-    srv_ratio = q_cap / np.maximum(arrival, q_cap)   # <=1 where overloaded
-    return served_rate, new_qlen, drops, p_mark, srv_ratio
-
-
 class FlowTableMixin:
-    """Grow-on-demand flow table shared by every fluid-model network.
+    """Grow-on-demand flow table: one segment of a fluid network.
 
-    Hosts provide the ``f_*`` arrays, ``config`` (``n_hosts``,
-    ``host_rate_bps``, ``start_rate_fraction``), ``now`` and a
-    ``_route(idx)`` that fills ``f_path[idx]``; the mixin owns slot
-    allocation, pending-flow activation and reallocation.  Attribute
-    names are a stable contract — :class:`~repro.netsim.batchfluid.
-    BatchFluidNetwork` re-points them at batch storage row views.
+    Hosts provide ``config`` (``n_hosts``, ``host_rate_bps``,
+    ``start_rate_fraction``), ``now`` and a ``_route(idx)`` that fills
+    ``f_path[idx]``; the mixin owns slot allocation, pending-flow
+    activation and completion records.  The ``f_*`` arrays are row views
+    of the segment storage of ``_store`` (a
+    :class:`~repro.netsim.kernel.SegmentKernel`; ``None`` when the table
+    is a network holding its own storage), which also grows them.
     """
 
-    #: extra per-flow int64 arrays (grown filled with -1) beyond the
-    #: base table — the leaf–spine network records the chosen spine,
-    #: the sharded fat-tree the chosen core.
+    #: extra per-flow int64 arrays (filled with -1) beyond the base
+    #: table — the leaf–spine network records the chosen spine, the
+    #: fat-tree the chosen core.
     _FLOW_CHOICE_1D: Tuple[str, ...] = ("f_spine",)
 
     def _init_flow_table(self, cap: int) -> None:
-        """Allocate an empty flow table of ``cap`` slots, plus the slot
-        maps, pending queue and completion records.
-
-        One table per *owner*: the monolithic networks call this once on
-        themselves; the sharded fat-tree instantiates one
-        :class:`~repro.netsim.shard.FlowShard` per pod, each carrying
-        its own table, so the flow phase decomposes spatially exactly
-        like the queue phase does.
-        """
+        """Empty slot maps, pending queue and completion records for a
+        table of ``cap`` slots; the owning front-end's
+        :meth:`~repro.netsim.kernel.SegmentKernel._init_segments` then
+        points the ``f_*`` arrays at its storage."""
         if cap < 1:
             raise ValueError("flow capacity must be >= 1")
         self._cap_flows = cap
         self._n_flows = 0
-        self.f_src = np.zeros(cap, dtype=np.int64)
-        self.f_dst = np.zeros(cap, dtype=np.int64)
-        self.f_size = np.zeros(cap)
-        self.f_remaining = np.zeros(cap)
-        self.f_rate = np.zeros(cap)                      # bytes/s
-        self.f_alpha = np.zeros(cap)
-        self.f_active = np.zeros(cap, dtype=bool)
-        self.f_path = np.full((cap, self._MAX_HOPS), -1, dtype=np.int64)
-        for name in self._FLOW_CHOICE_1D:
-            setattr(self, name, np.full(cap, -1, dtype=np.int64))
         self.flow_objs: Dict[int, Flow] = {}
         self._fid_to_idx: Dict[int, int] = {}
         self._idx_to_fid: Dict[int, int] = {}
@@ -193,7 +152,6 @@ class FlowTableMixin:
         self._pending_sorted = True
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
-        self._batch = None
 
     def flow_table_bytes(self) -> int:
         """Resident bytes of the ``f_*`` arrays (capacity, not usage)."""
@@ -204,27 +162,10 @@ class FlowTableMixin:
         return int(total)
 
     def _grow(self) -> None:
-        if self._batch is not None:
-            # A batched replica's flow arrays are row views into the
-            # batch's (R, cap) storage: growing them locally would break
-            # that aliasing (this replica would silently detach while
-            # the batch kernel keeps stepping the stale storage).  The
-            # batch grows all replicas together and re-points the views.
-            self._batch._grow_flows()
-            return
-        new_cap = self._cap_flows * 2
-        for name in ("f_src", "f_dst", "f_size", "f_remaining", "f_rate",
-                     "f_alpha", "f_active") + self._FLOW_CHOICE_1D:
-            arr = getattr(self, name)
-            grown = np.zeros(new_cap, dtype=arr.dtype)
-            grown[:self._cap_flows] = arr
-            if name in self._FLOW_CHOICE_1D:
-                grown[self._cap_flows:] = -1
-            setattr(self, name, grown)
-        grown_path = np.full((new_cap, self._MAX_HOPS), -1, dtype=np.int64)
-        grown_path[:self._cap_flows] = self.f_path
-        self.f_path = grown_path
-        self._cap_flows = new_cap
+        # The arrays are row views of the store's (S, cap) storage: it
+        # grows every segment together and re-points the views.
+        store = self if self._store is None else self._store
+        store._grow_flows()
 
     def start_flow(self, flow: Flow) -> None:
         """Register a flow; it activates when ``now`` reaches its start."""
@@ -301,9 +242,6 @@ class FlowTableMixin:
     def active_flow_count(self) -> int:
         return int(self.f_active[:self._n_flows].sum()) + len(self._pending)
 
-    def total_drops(self) -> int:
-        return int(self._acc_drops.sum())
-
     @property
     def flows(self) -> Dict[int, Flow]:
         return self.flow_objs
@@ -313,13 +251,33 @@ class SwitchStatsMixin:
     """Per-switch statistics + ECN control over a flat queue array.
 
     Generic over topology: hosts provide ``q_switch`` (queue → switch
-    id), ``switch_names()``, ``_switch_id(name)``, the ``_acc_*``
-    interval accumulators, the RED arrays and the flow table.  Both the
-    monolithic leaf–spine network and the sharded fat-tree expose the
-    exact :class:`~repro.netsim.network.PacketNetwork` stats interface
-    through this mixin, so PET/ACC controllers run unmodified on any of
-    the three simulators.
+    id), ``switch_names()``, ``_switch_id(name)``, the RED arrays and
+    the segment flow tables (``_segments``), and call
+    :meth:`_init_queue_stats`.  Both the leaf–spine network and the
+    fat-tree expose the exact :class:`~repro.netsim.network.
+    PacketNetwork` stats interface through this mixin, so PET/ACC
+    controllers run unmodified on any of the three simulators.
     """
+
+    def _init_queue_stats(self) -> None:
+        """Zeroed interval accumulators and empty stats caches."""
+        nq = self.n_queues
+        self._acc_tx = np.zeros(nq)           # bytes served
+        self._acc_marked = np.zeros(nq)       # marked bytes served
+        self._acc_qlen_area = np.zeros(nq)
+        self._acc_drops = np.zeros(nq)        # bytes, this interval
+        self._acc_time = 0.0
+        self._dropped_bytes = 0.0             # bytes, closed intervals
+        # caches for queue_stats (q_switch is static after construction)
+        self._names_cache: Optional[List[str]] = None
+        self._sw_q_idx: Optional[List[np.ndarray]] = None
+        self._q_switch_list: Optional[List[int]] = None
+
+    def total_drops(self) -> int:
+        """Packets dropped since construction, cumulative across
+        :meth:`queue_stats` (1000-byte packets, as it reports them)."""
+        return int((self._dropped_bytes + float(self._acc_drops.sum()))
+                   // 1000)
 
     def _switch_index_cache(self) -> List[np.ndarray]:
         """Per-switch queue-index arrays (``q_switch`` is static)."""
@@ -362,6 +320,7 @@ class SwitchStatsMixin:
                 capacity_bps=float(self.q_cap[mask].sum() * 8.0),
                 ecn=self._ecn_by_switch[s], n_queues=nq,
                 flow_obs=flow_obs_by_switch.get(s, {}))
+        self._dropped_bytes += float(self._acc_drops.sum())
         self._acc_tx[:] = 0.0
         self._acc_marked[:] = 0.0
         self._acc_qlen_area[:] = 0.0
@@ -390,32 +349,33 @@ class SwitchStatsMixin:
 
     def _flow_observations_fast(self) -> Dict[int, Dict[int, FlowObservation]]:
         """Same observations as the reference loop above, built from three
-        vector gathers plus plain-``int`` Python loops (per-element numpy
-        scalar indexing is what dominated the reference's profile).  The
-        vector subtract produces the same bytes as the per-flow scalar
-        subtract, and flows/hops are visited in the same order, so the
+        vector gathers per segment plus plain-``int`` Python loops
+        (per-element numpy scalar indexing is what dominated the
+        reference's profile).  The vector subtract produces the same
+        bytes as the per-flow scalar subtract, and flows are visited in
+        (segment, slot) order — a solo network's slot order — so the
         dicts are equal including insertion order."""
         out: Dict[int, Dict[int, FlowObservation]] = {}
-        n = self._n_flows
-        act = self.f_active[:n].nonzero()[0]
-        if not act.size:
-            return out
-        seen_v = self.f_size[act] - self.f_remaining[act]
-        paths = self.f_path[act].tolist()
         if self._q_switch_list is None:
             self._q_switch_list = [int(s) for s in self.q_switch]
         qsw = self._q_switch_list
-        idx_to_fid = self._idx_to_fid
         flow_objs = self.flow_objs
         now = self.now
-        for i, seen, path_i in zip(act.tolist(), seen_v.tolist(), paths):
-            fid = idx_to_fid[i]
-            flow = flow_objs[fid]
-            obs = FlowObservation(fid, flow.src, flow.dst,
-                                  int(seen if seen > 1.0 else 1.0), now)
-            for q in path_i:
-                if q >= 0:
-                    out.setdefault(qsw[q], {})[fid] = obs
+        for tbl in self._segments:
+            act = tbl.f_active[:tbl._n_flows].nonzero()[0]
+            if not act.size:
+                continue
+            seen_v = tbl.f_size[act] - tbl.f_remaining[act]
+            paths = tbl.f_path[act].tolist()
+            idx_to_fid = tbl._idx_to_fid
+            for i, seen, path_i in zip(act.tolist(), seen_v.tolist(), paths):
+                fid = idx_to_fid[i]
+                flow = flow_objs[fid]
+                obs = FlowObservation(fid, flow.src, flow.dst,
+                                      int(seen if seen > 1.0 else 1.0), now)
+                for q in path_i:
+                    if q >= 0:
+                        out.setdefault(qsw[q], {})[fid] = obs
         return out
 
     def switch_queue_indices(self, switch_name: str) -> List[int]:
@@ -470,8 +430,8 @@ class SwitchStatsMixin:
             self.set_ecn(name, config)
 
 
-class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
-    """Vectorized fluid simulation of a leaf–spine DCN.
+class FluidNetwork(FlowTableMixin, SwitchStatsMixin, SegmentKernel):
+    """Vectorized fluid simulation of a leaf–spine DCN (one segment).
 
     Queue layout (Q queues total):
 
@@ -524,41 +484,12 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
         # uniform fabric capacity scale (chaos degradation faults)
         self.fabric_capacity_factor = 1.0
 
-        # ---- flow arrays (grow-on-demand; FlowTableMixin) -----------------
+        self._init_queue_stats()
+
+        # ---- flow table: one segment of this network's own storage ---------
+        # (a BatchFluidNetwork re-points it into its (R, cap) storage)
         self._init_flow_table(cfg.initial_flow_capacity)
-
-        # ---- interval stats accumulators -----------------------------------
-        self._acc_tx = np.zeros(self.n_queues)        # bytes served
-        self._acc_marked = np.zeros(self.n_queues)    # marked bytes served
-        self._acc_qlen_area = np.zeros(self.n_queues)
-        self._acc_time = 0.0
-        self._acc_drops = np.zeros(self.n_queues)
-
-        # ---- fastpath scratch (see _step_fast) ------------------------------
-        # Queue-sized buffers are fixed; flow-sized scratch is
-        # (re)allocated lazily as the flow high-water mark grows.
-        if self.fastpath:
-            nq = self.n_queues
-            # One trailing dummy slot: padded path entries (-1) scatter
-            # into it, so the arrivals add needs no validity mask.
-            self._b_arrival_ext = np.zeros(nq + 1)
-            self._b_served = np.zeros(nq)
-            self._qlen_next = np.zeros(nq)
-            self._b_drops = np.zeros(nq)
-            self._b_span = np.zeros(nq)
-            self._b_pmark = np.zeros(nq)
-            self._b_qtmp = np.zeros(nq)
-            self._b_srv = np.zeros(nq)
-            self._b_onem = np.zeros(nq)
-            self._b_hosts = np.ones(cfg.n_hosts)
-        self._fbuf_cap = 0
-        # caches for queue_stats (q_switch is static after construction)
-        self._names_cache: Optional[List[str]] = None
-        self._sw_q_idx: Optional[List[np.ndarray]] = None
-        self._q_switch_list: Optional[List[int]] = None
-        #: owning :class:`repro.netsim.batchfluid.BatchFluidNetwork`, if
-        #: this network's arrays are row views into batch storage.
-        self._batch = None
+        self._init_segments([self], cfg.initial_flow_capacity)
 
     # ------------------------------------------------------------ topology
     def switch_names(self) -> List[str]:
@@ -615,30 +546,21 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
 
     # ------------------------------------------------------------ dynamics
     # (flow registration/activation lives in FlowTableMixin)
-    def advance(self, dt: float) -> None:
-        """Advance virtual time by ``dt`` (an integer number of steps)."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if self._batch is not None:
+    advance = SegmentKernel.advance
+
+    def _stepper(self):
+        if self._store is not None:
             raise RuntimeError(
                 "this FluidNetwork is a replica of a BatchFluidNetwork; "
                 "advance the batch, or detach it first via split()")
-        steps = max(1, int(round(dt / self.config.step_dt)))
-        step = self._step_fast if self.fastpath else self._step
-        step_dt = self.config.step_dt
-        for _ in range(steps):
-            step(step_dt)
-        reg = get_registry()
-        if reg:
-            reg.inc("netsim.advance_calls", sim="fluid")
-            reg.inc("netsim.steps", steps, sim="fluid")
-            reg.inc("netsim.virtual_s", dt, sim="fluid")
+        return self._kernel_step if self.fastpath else self._step
 
     def _step(self, dt: float) -> None:
         """Reference step (``fastpath=False``) — the pre-existing loop.
 
-        ``_step_fast`` below is the allocation-reduced rewrite; the two
-        are bit-identical (proved by ``bench --hotpath`` fingerprints and
+        :meth:`~repro.netsim.kernel.SegmentKernel._kernel_step` is the
+        allocation-reduced production step; the two are bit-identical
+        (proved by ``bench --hotpath`` fingerprints and
         ``tests/test_fastpath.py`` differentials).
         """
         cfg = self.config
@@ -675,10 +597,16 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
 
         # --- queue integration & marking -----------------------------------
         cap = self.q_cap
-        served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            integrate_queue_block(self.q_len, cap, self.kmin, self.kmax,
-                                  self.pmax, arrival, dt,
-                                  cfg.switch_buffer_bytes)
+        buffer_bytes = cfg.switch_buffer_bytes
+        served_rate = np.minimum(arrival + self.q_len / dt, cap)
+        new_qlen = np.clip(self.q_len + (arrival - cap) * dt, 0.0, None)
+        drops = np.clip(new_qlen - buffer_bytes, 0.0, None)
+        new_qlen = np.minimum(new_qlen, buffer_bytes)
+        # RED mark probability on instantaneous occupancy
+        span = np.maximum(self.kmax - self.kmin, 1.0)
+        p_mark = np.clip((new_qlen - self.kmin) / span, 0.0, 1.0) * self.pmax
+        p_mark = np.where(new_qlen >= self.kmax, 1.0, p_mark)
+        srv_ratio = cap / np.maximum(arrival, cap)   # <=1 where overloaded
 
         # --- stats ----------------------------------------------------------
         self._acc_tx += served_rate * dt
@@ -731,220 +659,6 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin):
         # --- latency sampling (Fig. 8): one random active flow per step ----------
         if len(self.latencies) < cfg.latency_sample_cap:
             act_idx = np.flatnonzero(self.f_active[:n])
-            if act_idx.size:
-                i = int(act_idx[self.rng.integers(act_idx.size)])
-                self.latencies.append(
-                    (self.now, cfg.base_rtt / 2.0 + qdelay[i]))
-
-    def _alloc_flow_scratch(self) -> None:
-        cap = self._cap_flows
-        for name in ("_b_send", "_b_nomark", "_b_bneck", "_b_qdelay",
-                     "_b_mark", "_b_f1", "_b_f2"):
-            setattr(self, name, np.zeros(cap))
-        # (cap, H) matrices for the whole-path gathers in _step_fast
-        hops = self._MAX_HOPS
-        self._b_safe = np.zeros((cap, hops), dtype=np.int64)
-        self._b_notval = np.zeros((cap, hops), dtype=bool)
-        self._b_g2 = np.zeros((cap, hops))
-        self._b_d2 = np.zeros((cap, hops))
-        self._b_m1 = np.zeros(cap, dtype=bool)
-        self._b_m2 = np.zeros(cap, dtype=bool)
-        self._fbuf_cap = cap
-
-    def _step_fast(self, dt: float) -> None:
-        """Loop-tightened fluid step — bit-identical to :meth:`_step`.
-
-        Every elementwise operation keeps the reference's order and
-        associativity (commutative scalar-array products aside, which
-        are exact in IEEE-754); temporaries live in preallocated scratch
-        buffers, gathers (``path[idx]``, ``send[idx]``) happen once
-        instead of per hop, and ``np.clip`` calls become the equivalent
-        ``maximum``/``minimum`` pairs.  Masked updates use ufunc
-        ``where=``/``copyto`` which, like the reference's fancy-index
-        assignments, leave unselected elements untouched.
-        """
-        cfg = self.config
-        self.now += dt
-        self._activate_due()
-        n = self._n_flows
-        if n == 0:
-            np.multiply(self.q_len, dt, out=self._b_qtmp)
-            self._acc_qlen_area += self._b_qtmp
-            self._acc_time += dt
-            return
-        if self._fbuf_cap < n:
-            self._alloc_flow_scratch()
-        active = self.f_active[:n]
-        idx = active.nonzero()[0]
-        rate = self.f_rate[:n]
-
-        # --- NIC sharing: cap the sum of a host's flow rates at line rate.
-        line = cfg.host_rate_bps / 8.0
-        src = self.f_src[:n]
-        send = self._b_send[:n]
-        send.fill(0.0)
-        np.copyto(send, rate, where=active)
-        send_idx = send[idx]
-        per_src = np.bincount(src[idx], weights=send_idx,
-                              minlength=cfg.n_hosts)
-        over = per_src > line
-        if over.any():
-            scale_src = self._b_hosts
-            scale_src.fill(1.0)
-            scale_src[over] = line / per_src[over]
-            send *= scale_src[src]
-            send_idx = send[idx]
-
-        # --- arrivals per queue ------------------------------------------
-        # One hop-major scatter-add.  ``add.at`` iterates the broadcast
-        # (H, k) index row-major — hop 0 for every flow, then hop 1, ...
-        # — the reference loop's exact accumulation order; padded hops
-        # (-1) land in the trailing dummy slot, so no validity mask is
-        # needed and additions to real queues keep their exact sequence.
-        path = self.f_path[:n]
-        p_idx = path[idx]
-        arrival_ext = self._b_arrival_ext
-        arrival_ext.fill(0.0)
-        p_t = p_idx.T
-        np.add.at(arrival_ext, p_t, np.broadcast_to(send_idx, p_t.shape))
-        arrival = arrival_ext[:-1]
-
-        # --- queue integration & marking -----------------------------------
-        cap = self.q_cap
-        q_len = self.q_len
-        served_rate = self._b_served
-        np.divide(q_len, dt, out=served_rate)
-        served_rate += arrival
-        np.minimum(served_rate, cap, out=served_rate)
-        new_qlen = self._qlen_next
-        np.subtract(arrival, cap, out=new_qlen)
-        new_qlen *= dt
-        new_qlen += q_len
-        np.maximum(new_qlen, 0.0, out=new_qlen)
-        drops = self._b_drops
-        np.subtract(new_qlen, cfg.switch_buffer_bytes, out=drops)
-        np.maximum(drops, 0.0, out=drops)
-        np.minimum(new_qlen, cfg.switch_buffer_bytes, out=new_qlen)
-        # RED mark probability on instantaneous occupancy
-        span = self._b_span
-        np.subtract(self.kmax, self.kmin, out=span)
-        np.maximum(span, 1.0, out=span)
-        p_mark = self._b_pmark
-        np.subtract(new_qlen, self.kmin, out=p_mark)
-        p_mark /= span
-        np.maximum(p_mark, 0.0, out=p_mark)
-        np.minimum(p_mark, 1.0, out=p_mark)
-        p_mark *= self.pmax
-        np.copyto(p_mark, 1.0, where=new_qlen >= self.kmax)
-
-        # --- stats ----------------------------------------------------------
-        qtmp = self._b_qtmp
-        np.multiply(served_rate, dt, out=qtmp)
-        self._acc_tx += qtmp
-        qtmp *= p_mark
-        self._acc_marked += qtmp
-        np.add(q_len, new_qlen, out=qtmp)
-        qtmp *= 0.5
-        qtmp *= dt
-        self._acc_qlen_area += qtmp
-        self._acc_drops += drops
-        self._acc_time += dt
-        # Double-buffer swap: the old q_len array becomes next step's
-        # scratch (external readers always go through the attribute).
-        self.q_len, self._qlen_next = new_qlen, q_len
-        q_len = new_qlen
-
-        # --- end-to-end mark fraction per flow --------------------------------
-        # Whole-path (n, H) gathers + column-sequential reductions replace
-        # the per-hop loop.  Padding identities are IEEE-exact: invalid
-        # hops contribute x1.0 to the no-mark product, min(. , 1.0) to the
-        # bottleneck (srv_ratio <= 1), and +0.0 to the queueing delay, so
-        # every active flow gets exactly the reference's per-hop results.
-        # Inactive rows compute garbage that is never committed (the AIMD
-        # and progress updates below mask on ``active``, and ``send`` is
-        # exactly 0.0 for inactive flows).
-        srv_ratio = self._b_srv
-        np.maximum(arrival, cap, out=srv_ratio)
-        np.divide(cap, srv_ratio, out=srv_ratio)   # <=1 where overloaded
-        hops = self._MAX_HOPS
-        safe = self._b_safe[:n]
-        np.maximum(path, 0, out=safe)
-        notval = self._b_notval[:n]
-        np.less(path, 0, out=notval)
-        g2 = self._b_g2[:n]
-        d2 = self._b_d2[:n]
-        one_m = self._b_onem
-        np.subtract(1.0, p_mark, out=one_m)
-        one_m.take(safe, out=g2)                   # (n, H) of 1 - p_mark
-        np.copyto(g2, 1.0, where=notval)
-        no_mark = self._b_nomark[:n]
-        np.copyto(no_mark, g2[:, 0])
-        for hop in range(1, hops):
-            no_mark *= g2[:, hop]
-        srv_ratio.take(safe, out=d2)
-        np.copyto(d2, 1.0, where=notval)
-        bottleneck = self._b_bneck[:n]
-        np.copyto(bottleneck, d2[:, 0])
-        for hop in range(1, hops):
-            np.minimum(bottleneck, d2[:, hop], out=bottleneck)
-        q_len.take(safe, out=d2)
-        cap.take(safe, out=g2)
-        d2 /= g2
-        np.copyto(d2, 0.0, where=notval)
-        qdelay = self._b_qdelay[:n]
-        np.copyto(qdelay, d2[:, 0])
-        for hop in range(1, hops):
-            qdelay += d2[:, hop]
-        f1 = self._b_f1[:n]
-        f2 = self._b_f2[:n]
-        mark_frac = self._b_mark[:n]
-        np.subtract(1.0, no_mark, out=mark_frac)
-
-        # --- DCQCN-like AIMD ---------------------------------------------------
-        a = self.f_alpha[:n]
-        np.multiply(a, 1.0 - cfg.g, out=f1)
-        np.multiply(mark_frac, cfg.g, out=f2)
-        f1 += f2
-        np.copyto(a, f1, where=active)
-        np.multiply(a, 0.5, out=f1)
-        f1 *= cfg.md_gain
-        f1 *= mark_frac
-        np.subtract(1.0, f1, out=f1)
-        f1 *= rate                                  # rate * cut
-        grow = cfg.ai_fraction * line
-        np.add(rate, grow, out=f2)                  # rate + grow
-        marked = self._b_m1[:n]
-        np.greater(mark_frac, 1e-3, out=marked)
-        np.copyto(f2, f1, where=marked)             # == where(marked, f1, f2)
-        floor = cfg.min_rate_fraction * line
-        np.maximum(f2, floor, out=f2)
-        np.minimum(f2, line, out=f2)
-        np.copyto(rate, f2, where=active)
-
-        # --- progress & completion ---------------------------------------------
-        np.multiply(send, bottleneck, out=f1)       # throughput
-        f1 *= dt
-        self.f_remaining[:n] -= f1
-        finished = self._b_m2[:n]
-        np.less_equal(self.f_remaining[:n], 0.0, out=finished)
-        finished &= active
-        if finished.any():
-            for i in finished.nonzero()[0]:
-                fid = self._idx_to_fid[int(i)]
-                flow = self.flow_objs[fid]
-                # account residual queueing delay into the FCT
-                flow.finish_time = self.now + qdelay[i]
-                flow.bytes_sent = flow.size_bytes
-                flow.bytes_acked = flow.size_bytes
-                self.finished_flows.append(flow)
-                self.f_active[i] = False
-                self.f_remaining[i] = 0.0
-                del self._idx_to_fid[int(i)]
-                self._free_list.append(int(i))
-
-        # --- latency sampling (Fig. 8): one random active flow per step ----------
-        if len(self.latencies) < cfg.latency_sample_cap:
-            act_idx = self.f_active[:n].nonzero()[0]
             if act_idx.size:
                 i = int(act_idx[self.rng.integers(act_idx.size)])
                 self.latencies.append(

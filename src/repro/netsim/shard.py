@@ -1,43 +1,23 @@
-"""Spatially-sharded fluid simulation of a multi-pod fat-tree.
+"""Fluid simulation of a multi-pod fat-tree, one flow segment per pod.
 
-The monolithic :class:`~repro.netsim.fluid.FluidNetwork` tops out at one
-leaf–spine pod; production-scale fabrics (ROADMAP item 2) are fat-trees
-with hundreds of switches.  :class:`ShardedFluidNetwork` steps that
-shape by spatial decomposition of **both** phases of the fluid model:
+The leaf–spine :class:`~repro.netsim.fluid.FluidNetwork` tops out at one
+pod; production-scale fabrics are fat-trees with hundreds of switches.
+:class:`ShardedFluidNetwork` steps that shape with the shared fluid
+kernel (:mod:`repro.netsim.kernel`), partitioning the flow table by
+**owner pod** — a flow belongs to its source edge's pod
+(:meth:`~repro.netsim.fattree.FatTreeConfig.owner_pod_of_flow`):
 
-- the global queue state is laid out in **subdomain blocks** — one
-  contiguous block per pod (edge-down, edge-up, agg-up and agg-down
-  queues) plus one block for the core plane — and each Δt every block
-  integrates independently via
-  :func:`~repro.netsim.fluid.integrate_queue_block`;
-- the flow table is partitioned by **owner pod** (a flow belongs to its
-  source edge's pod — :meth:`~repro.netsim.fattree.FatTreeConfig.
-  owner_pod_of_flow`): each pod's :class:`FlowShard` runs NIC sharing,
-  arrival scatter, the AIMD feedback and finish detection purely over
-  its local flows, so per-Δt flow-phase cost scales with the largest
-  pod's flow count, not the fabric total;
-- pods exchange only **compact boundary aggregates**: each pod reduces
-  its flows' contributions to non-local queues (core plane + remote
-  pods) to unique ``(queue_id, summed_rate)`` rows, merged into the
-  global arrival vector in fixed owner-pod order.
+- each pod's :class:`FlowShard` is one segment of the kernel's
+  ``(n_pods, cap)`` flow storage, with its own slot maps and pending
+  queue;
+- all pods share one queue space, laid out in per-pod blocks (edge-down,
+  edge-up, agg-up and agg-down queues) plus the core plane;
+- a queue's arrival is its owner pod's partial sum plus every other
+  pod's, added in pod order — the accumulation order the canonical
+  fat-tree fingerprints (``tests/test_fattree_golden.py``) pin.
 
-**Determinism contract** — ``shards=N`` is bit-identical to
-``shards=1`` for every N and for the Engine-parallel path.  Both
-partitions (queue subdomains *and* flow ownership) are fixed by the
-topology, never by the shard count; per-pod reductions accumulate in
-hop-major slot order; queue integration is elementwise per queue; and
-every merge writes disjoint slices back in a fixed order.
-``tests/test_shard.py`` pins this with canonical fingerprints and
-``bench --hotpath`` carries it as the ``sim_shard`` / ``sim_shard_xl``
-workloads.
-
-On the Engine path the per-Δt exchange is **zero-copy**: queue state
-lives in a preallocated :class:`~repro.parallel.engine.SharedArena`
-(one named float64 slab), TaskSpecs carry only the arena handle plus a
-``[lo, hi)`` span, and workers integrate task-id-ordered disjoint
-slices in place — comms cost is O(boundary), not O(flows).  When
-shared memory is unavailable the engine path falls back to the pickled
-block payloads transparently (same bits either way).
+The partition is fixed by the topology; the ``shards`` argument is
+validated for compatibility and selects nothing.
 
 The controller-facing surface (``advance`` / ``queue_stats`` /
 ``set_ecn`` / ``fail_uplinks``) matches the other two simulators, so
@@ -46,46 +26,30 @@ PET, ACC and the static baselines drive a fat-tree unmodified.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
-from repro.netsim.fluid import (FlowTableMixin, SwitchStatsMixin,
-                                integrate_queue_block)
-from repro.netsim.queueing import FlowObservation
+from repro.netsim.fluid import FlowTableMixin, SwitchStatsMixin
+from repro.netsim.kernel import SegmentKernel
 from repro.netsim.routing import ecmp_hash
 from repro.obs.metrics import get_registry
-from repro.parallel.engine import Engine, SharedArena, TaskSpec, attach_arena
 
 __all__ = ["Subdomain", "FlowShard", "ShardedFluidNetwork"]
 
-#: floating-point queue-state arrays held per queue — the 11 arena rows
-#: (5 RED/state inputs + arrival + 5 integration outputs) plus
-#: ``q_cap_nominal`` and the 4 interval accumulators — used for the
-#: per-shard memory attribution in
-#: :meth:`ShardedFluidNetwork.memory_report`.
-_FLOAT_ARRAYS_PER_QUEUE = 16
-
-#: row layout of the shared float64 arena (and of the in-process state
-#: block standing in for it): inputs first, then the arrival vector,
-#: then the five :func:`integrate_queue_block` outputs.  Workers and the
-#: parent both index rows by this tuple — keep it in lockstep with
-#: :func:`_integrate_arena_span`.
-_ARENA_FIELDS = ("q_len", "q_cap", "kmin", "kmax", "pmax", "arrival",
-                 "served", "new_qlen", "drops", "p_mark", "srv_ratio")
+#: float64 arrays held per queue: the RED/state arrays, ``q_cap_nominal``
+#: and the four interval accumulators (10) plus the kernel's queue
+#: scratch (8) and merged arrival (1); the per-pod arrival partials add
+#: ``n_pods + 1`` more (see :meth:`ShardedFluidNetwork.memory_report`).
+_FLOAT_ARRAYS_PER_QUEUE = 19
 
 
 class Subdomain:
-    """One contiguous block of the global queue arrays.
-
-    A pod's queues (or the core plane's) — the unit of spatial
-    decomposition.  Holds only layout metadata; the owning network
-    holds the state, so re-grouping subdomains into a different shard
-    count never moves data.
-    """
+    """One contiguous block of the global queue arrays (a pod's queues
+    or the core plane's) — the unit of memory attribution."""
 
     def __init__(self, name: str, start: int, stop: int) -> None:
         self.name = name
@@ -99,55 +63,15 @@ class Subdomain:
         return f"Subdomain({self.name!r}, [{self.start}, {self.stop}))"
 
 
-def _integrate_block_group(blocks: List[Dict[str, np.ndarray]],
-                           dt: float) -> List[Tuple[np.ndarray, ...]]:
-    """Engine task body (pickle fallback): integrate one shard group.
-
-    Module-level and pure so it pickles to worker processes; blocks are
-    self-contained state dicts, results are returned per block in block
-    order (the caller merges groups in task-id order).
-    """
-    return [integrate_queue_block(b["q_len"], b["q_cap"], b["kmin"],
-                                  b["kmax"], b["pmax"], b["arrival"],
-                                  dt, b["buffer_bytes"])
-            for b in blocks]
-
-
-def _integrate_arena_span(arena_name: str, n_queues: int, lo: int, hi: int,
-                          dt: float, buffer_bytes: float) -> int:
-    """Engine task body (zero-copy path): integrate a queue span in place.
-
-    The TaskSpec carries only this handle + ``[lo, hi)`` span — O(1)
-    bytes.  Fork-started workers inherit the creator's mapping through
-    the arena attachment cache, so no simulation state is pickled or
-    copied across the process boundary; outputs land in the span's
-    disjoint slices of the arena's output rows, where the parent reads
-    them back.  Spans are per-task disjoint, so concurrent workers never
-    write the same element.
-    """
-    state = attach_arena(arena_name, len(_ARENA_FIELDS) * n_queues)
-    v = state.reshape(len(_ARENA_FIELDS), n_queues)
-    served, new_qlen, drops, p_mark, srv = integrate_queue_block(
-        v[0][lo:hi], v[1][lo:hi], v[2][lo:hi], v[3][lo:hi], v[4][lo:hi],
-        v[5][lo:hi], dt, buffer_bytes)
-    v[6][lo:hi] = served
-    v[7][lo:hi] = new_qlen
-    v[8][lo:hi] = drops
-    v[9][lo:hi] = p_mark
-    v[10][lo:hi] = srv
-    return hi - lo
-
-
 class FlowShard(FlowTableMixin):
-    """One pod's flow table — the unit of flow-phase decomposition.
+    """One pod's flow table — a segment of the network's flow storage.
 
-    Owns the ``f_*`` arrays, slot maps and pending queue for every flow
-    whose source host lives in this pod (the ownership rule:
-    :meth:`~repro.netsim.fattree.FatTreeConfig.owner_pod_of_flow`).
-    NIC sharing is pod-local by construction — a host's flows are all
-    in its own pod's table — and routing delegates to the owning
-    network, which knows the global queue layout and uplink state.
-    The core-plane subdomain owns no flows.
+    Owns the slot maps and pending queue for every flow whose source
+    host lives in this pod (the ownership rule:
+    :meth:`~repro.netsim.fattree.FatTreeConfig.owner_pod_of_flow`), so a
+    host's flows are all in one table.  Routing delegates to the owning
+    network, which knows the global queue layout and uplink state;
+    finished flows land in the network's records.
     """
 
     _MAX_HOPS = 5
@@ -158,151 +82,16 @@ class FlowShard(FlowTableMixin):
         self.pod = pod
         self.config = net.config
         self.now = 0.0
-        #: global queue-id range of the owner pod's subdomain block —
-        #: arrival rows inside it are local, everything else is boundary.
-        self.block_start = pod * net._pod_block
-        self.block_stop = (pod + 1) * net._pod_block
         self._init_flow_table(net.config.initial_flow_capacity)
-        # per-step handoff from the flow phase to the feedback phase
-        self._send: Optional[np.ndarray] = None
-        self._act_idx = np.zeros(0, dtype=np.int64)
-        self._qdelay = np.zeros(0)
+        self.flow_objs = net.flow_objs
+        self.finished_flows = net.finished_flows
 
     def _route(self, idx: int) -> None:
         self.net._route_flow(self, idx)
 
-    # ------------------------------------------------------------ flow phase
-    def _flow_phase(self, arrival: np.ndarray
-                    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """NIC sharing + arrival reduction over this pod's flows.
 
-        Contributions to the pod's own queue block are written straight
-        into its slice of ``arrival``; everything else — core-plane and
-        remote-pod queues — is reduced to compact unique
-        ``(queue_id, summed_rate)`` boundary rows and returned for the
-        owner-pod-ordered merge.  Returns ``None`` when the pod has
-        nothing to contribute.
-
-        Bit-exactness: per-queue sums accumulate in hop-major local-slot
-        order (``bincount`` adds in appearance order — the same order
-        for every shard count, because ownership is topology-fixed), and
-        the local/boundary split only *routes* already-summed rows, so
-        no floating-point operation depends on the grouping.
-        """
-        n = self._n_flows
-        if n == 0:
-            self._send = None
-            return None
-        cfg = self.config
-        active = self.f_active[:n]
-        idx = active.nonzero()[0]
-        rate = self.f_rate[:n]
-
-        # NIC sharing over this pod's hosts only: the per-host line-rate
-        # cap needs no cross-pod exchange at all, because a host's flows
-        # all live in its own pod's table.
-        line = cfg.host_rate_bps / 8.0
-        hpp = cfg.hosts_per_pod
-        src_local = self.f_src[:n] - self.pod * hpp
-        send = np.where(active, rate, 0.0)
-        per_src = np.bincount(src_local[idx], weights=send[idx],
-                              minlength=hpp)
-        over = per_src > line
-        if over.any():
-            scale_src = np.ones(hpp)
-            scale_src[over] = line / per_src[over]
-            send = send * scale_src[src_local]
-        self._send = send
-
-        if not idx.size:
-            return None
-        # Hop-major COO reduction: queue ids of every active hop, summed
-        # per unique queue in appearance order.
-        p_t = self.f_path[:n][idx].T                       # (H, k)
-        qs = p_t.ravel()
-        w = np.broadcast_to(send[idx], p_t.shape).ravel()
-        ok = qs >= 0
-        qs, w = qs[ok], w[ok]
-        uq, inv = np.unique(qs, return_inverse=True)
-        agg = np.bincount(inv, weights=w, minlength=uq.size)
-        local = (uq >= self.block_start) & (uq < self.block_stop)
-        # unique ids: fancy += adds each element exactly once
-        arrival[uq[local]] += agg[local]
-        if local.all():
-            return None
-        return uq[~local], agg[~local]
-
-    # -------------------------------------------------------- feedback phase
-    def _feedback_phase(self, dt: float, p_mark: np.ndarray,
-                        srv_ratio: np.ndarray, q_len: np.ndarray,
-                        q_cap: np.ndarray) -> None:
-        """AIMD + progress + finish detection over this pod's flows.
-
-        Reads back global post-integration queue state (mark
-        probability, service ratio, occupancy) along each local flow's
-        path — the only inter-shard input the feedback needs — and
-        appends finished flows to the owning network's records.  Leaves
-        ``_act_idx`` / ``_qdelay`` behind for the network's latency
-        sampler.
-        """
-        net = self.net
-        cfg = self.config
-        n = self._n_flows
-        if n == 0:
-            self._act_idx = np.zeros(0, dtype=np.int64)
-            return
-        active = self.f_active[:n]
-        path = self.f_path[:n]
-        rate = self.f_rate[:n]
-        send = self._send
-
-        # --- end-to-end mark fraction per flow ----------------------------
-        no_mark = np.ones(n)
-        bottleneck = np.ones(n)
-        qdelay = np.zeros(n)
-        for hop in range(self._MAX_HOPS):
-            qs = path[:, hop]
-            ok = (qs >= 0) & active
-            if ok.any():
-                no_mark[ok] *= 1.0 - p_mark[qs[ok]]
-                bottleneck[ok] = np.minimum(bottleneck[ok],
-                                            srv_ratio[qs[ok]])
-                qdelay[ok] += q_len[qs[ok]] / q_cap[qs[ok]]
-        mark_frac = 1.0 - no_mark
-
-        # --- DCQCN-like AIMD ----------------------------------------------
-        line = cfg.host_rate_bps / 8.0
-        a = self.f_alpha[:n]
-        a[active] = (1.0 - cfg.g) * a[active] + cfg.g * mark_frac[active]
-        cut = 1.0 - (a * 0.5 * cfg.md_gain * mark_frac)
-        grow = cfg.ai_fraction * line
-        new_rate = np.where(mark_frac > 1e-3, rate * cut, rate + grow)
-        floor = cfg.min_rate_fraction * line
-        self.f_rate[:n] = np.where(active, np.clip(new_rate, floor, line),
-                                   rate)
-
-        # --- progress & completion ----------------------------------------
-        throughput = send * bottleneck
-        self.f_remaining[:n] -= throughput * dt
-        finished = active & (self.f_remaining[:n] <= 0.0)
-        if finished.any():
-            for i in np.flatnonzero(finished):
-                fid = self._idx_to_fid[int(i)]
-                flow = net.flow_objs[fid]
-                flow.finish_time = net.now + qdelay[i]
-                flow.bytes_sent = flow.size_bytes
-                flow.bytes_acked = flow.size_bytes
-                net.finished_flows.append(flow)
-                self.f_active[i] = False
-                self.f_remaining[i] = 0.0
-                del self._idx_to_fid[int(i)]
-                self._free_list.append(int(i))
-        self._act_idx = self.f_active[:n].nonzero()[0]
-        self._qdelay = qdelay
-
-
-class ShardedFluidNetwork(SwitchStatsMixin):
-    """Vectorized fluid simulation of a fat-tree, one subdomain per pod.
+class ShardedFluidNetwork(SwitchStatsMixin, SegmentKernel):
+    """Vectorized fluid simulation of a fat-tree, one flow segment per pod.
 
     Queue layout, per pod ``p`` (one contiguous block each), then core:
 
@@ -314,15 +103,17 @@ class ShardedFluidNetwork(SwitchStatsMixin):
 
     An intra-edge flow takes 1 queue, intra-pod 3, inter-pod 5.  The
     flow table is partitioned into one :class:`FlowShard` per pod (see
-    the module docstring for the ownership rule and boundary-aggregate
-    exchange).
+    the module docstring for the ownership rule and arrival order).
     """
 
     _MAX_HOPS = 5
+    _SIM_LABEL = "fluid_shard"
+    advance = SegmentKernel.advance
+    #: one Δt of the shared kernel (what ``advance`` runs)
+    _step = SegmentKernel._kernel_step
 
     def __init__(self, config: Optional[FatTreeConfig] = None, *,
-                 shards: int = 1, seed: Optional[int] = None,
-                 engine: Optional[Engine] = None) -> None:
+                 shards: int = 1, seed: Optional[int] = None) -> None:
         self.config = config or FatTreeConfig()
         cfg = self.config
         if shards < 1:
@@ -331,13 +122,13 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             raise ValueError(
                 f"shards={shards} exceeds the {cfg.n_pods + 1} subdomains "
                 f"({cfg.n_pods} pods + core plane) of this fabric")
+        #: accepted and validated for compatibility; selects nothing
         self.shards = int(shards)
         self.rng = np.random.default_rng(seed)
-        self._engine = engine
         self.now = 0.0
         # The stats mixin's fast observation builder is topology-generic;
-        # there is no dual step path here (the conformance axis is
-        # shards, not fastpath).
+        # there is no dual step path here (the reference twin is the
+        # leaf–spine FluidNetwork._step; the oracle is the golden pins).
         self.fastpath = True
 
         # ---- queue layout: one block per pod, then the core plane --------
@@ -355,31 +146,10 @@ class ShardedFluidNetwork(SwitchStatsMixin):
             Subdomain(f"pod{p}", p * self._pod_block, (p + 1) * self._pod_block)
             for p in range(n_p)]
         self.subdomains.append(Subdomain("core", self._core0, self.n_queues))
-        #: contiguous shard groups of subdomains — fixed partition, any
-        #: grouping: bit-identity over ``shards`` holds by construction.
-        self.shard_groups: List[List[Subdomain]] = [
-            list(g) for g in np.array_split(np.array(self.subdomains,
-                                                     dtype=object), shards)]
 
-        # ---- queue state: 11 float64 rows, arena-backed on the Engine
-        # path so workers integrate spans in place with zero pickling;
-        # a plain in-process block otherwise (same layout, same bits).
-        self._arena: Optional[SharedArena] = None
-        state: Optional[np.ndarray] = None
-        if engine is not None and self.shards > 1 and SharedArena.available():
-            try:
-                self._arena = SharedArena(
-                    len(_ARENA_FIELDS) * self.n_queues)
-                assert self._arena.array is not None
-                state = self._arena.array.reshape(len(_ARENA_FIELDS),
-                                                  self.n_queues)
-            except OSError:   # e.g. /dev/shm exhausted: pickle fallback
-                self._arena = None
-        if state is None:
-            state = np.zeros((len(_ARENA_FIELDS), self.n_queues))
-        (self.q_len, self.q_cap, self.kmin, self.kmax, self.pmax,
-         self._arrival, self._served, self._new_qlen, self._drops,
-         self._p_mark, self._srv_ratio) = state
+        # ---- queue state ---------------------------------------------------
+        self.q_len = np.zeros(self.n_queues)
+        self.q_cap = np.zeros(self.n_queues)
 
         self.q_switch = np.empty(self.n_queues, dtype=np.int64)
         sw_per_pod = n_e + n_a
@@ -410,9 +180,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                 self.q_switch[q] = n_p * sw_per_pod + c
         self.q_cap_nominal = self.q_cap.copy()
         self.n_switches = cfg.n_switches
-        self.kmin.fill(float(cfg.default_ecn.kmin_bytes))
-        self.kmax.fill(float(cfg.default_ecn.kmax_bytes))
-        self.pmax.fill(float(cfg.default_ecn.pmax))
+        self.kmin = np.full(self.n_queues, float(cfg.default_ecn.kmin_bytes))
+        self.kmax = np.full(self.n_queues, float(cfg.default_ecn.kmax_bytes))
+        self.pmax = np.full(self.n_queues, float(cfg.default_ecn.pmax))
         self._ecn_by_switch: Dict[int, ECNConfig] = {
             s: cfg.default_ecn for s in range(self.n_switches)}
         #: per-(pod, core) uplink health — one bit covers the agg_up and
@@ -420,62 +190,27 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         self.uplink_up = np.ones((n_p, n_c), dtype=bool)
         self.fabric_capacity_factor = 1.0
 
-        # ---- per-pod flow tables (FlowTableMixin instances) ---------------
+        self._init_queue_stats()
+
+        # ---- per-pod flow tables: the kernel's segments ------------------
         #: flow ownership follows the flow's source edge's pod
-        #: (:meth:`FatTreeConfig.owner_pod_of_flow`); the core subdomain
-        #: owns no flows.  The partition is topology-determined, so it —
-        #: like the queue blocks — is identical for every shard count.
-        self.flow_shards: List[FlowShard] = [FlowShard(self, p)
-                                             for p in range(n_p)]
+        #: (:meth:`FatTreeConfig.owner_pod_of_flow`); the core plane owns
+        #: no flows and no queues of its own segment.
         self.flow_objs: Dict[int, Flow] = {}
         self.finished_flows: List[Flow] = []
         self.latencies: List[Tuple[float, float]] = []
-        #: boundary rows merged on the most recent step — the size of
-        #: the per-Δt inter-shard exchange (O(boundary), not O(flows)).
-        self._last_boundary_rows = 0
-
-        # ---- interval stats accumulators ----------------------------------
-        self._acc_tx = np.zeros(self.n_queues)
-        self._acc_marked = np.zeros(self.n_queues)
-        self._acc_qlen_area = np.zeros(self.n_queues)
-        self._acc_time = 0.0
-        self._acc_drops = np.zeros(self.n_queues)
-
-        # caches for the stats mixin
-        self._names_cache: Optional[List[str]] = None
-        self._sw_q_idx: Optional[List[np.ndarray]] = None
-        self._q_switch_list: Optional[List[int]] = None
-
-        reg = get_registry()
-        if reg:
-            for i, sub in enumerate(self.subdomains):
-                reg.set_gauge("netsim.shard_queue_bytes",
-                              float(len(sub) * 8 * _FLOAT_ARRAYS_PER_QUEUE),
-                              sim="fluid_shard", subdomain=sub.name)
-                flow_bytes = (self.flow_shards[i].flow_table_bytes()
-                              if i < len(self.flow_shards) else 0)
-                reg.set_gauge("netsim.shard_flow_bytes", float(flow_bytes),
-                              sim="fluid_shard", subdomain=sub.name)
+        self.flow_shards: List[FlowShard] = [FlowShard(self, p)
+                                             for p in range(n_p)]
+        queue_owner = np.full(self.n_queues, -1, dtype=np.int64)
+        queue_owner[:self._core0] = np.repeat(np.arange(n_p), self._pod_block)
+        self._init_segments(self.flow_shards, cfg.initial_flow_capacity,
+                            queue_owner=queue_owner)
+        if get_registry():
+            self.memory_report()
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Release the shared-memory arena, if any (idempotent).
-
-        The queue state survives: every view detaches into a private
-        copy first, so a closed network keeps stepping in-process with
-        identical results — only the zero-copy Engine path is gone.
-        """
-        if self._arena is None:
-            return
-        (self.q_len, self.q_cap, self.kmin, self.kmax, self.pmax,
-         self._arrival, self._served, self._new_qlen, self._drops,
-         self._p_mark, self._srv_ratio) = [
-            a.copy() for a in (self.q_len, self.q_cap, self.kmin, self.kmax,
-                               self.pmax, self._arrival, self._served,
-                               self._new_qlen, self._drops, self._p_mark,
-                               self._srv_ratio)]
-        arena, self._arena = self._arena, None
-        arena.close()
+        """No-op (idempotent): the network holds no external resources."""
 
     # ------------------------------------------------------------ topology
     def switch_names(self) -> List[str]:
@@ -603,9 +338,6 @@ class ShardedFluidNetwork(SwitchStatsMixin):
         return sum(int(sh.f_active[:sh._n_flows].sum()) + len(sh._pending)
                    for sh in self.flow_shards)
 
-    def total_drops(self) -> int:
-        return int(self._acc_drops.sum())
-
     @property
     def flows(self) -> Dict[int, Flow]:
         return self.flow_objs
@@ -613,10 +345,9 @@ class ShardedFluidNetwork(SwitchStatsMixin):
     def flow_table_state(self) -> Dict[str, np.ndarray]:
         """Canonical aggregate of the per-pod flow tables.
 
-        Concatenated in (owner pod, local slot) order — identical across
-        shard counts because the ownership partition is
-        topology-determined.  This is the flow half of every conformance
-        fingerprint; per-shard state is on ``flow_shards`` directly.
+        Concatenated in (owner pod, local slot) order — the partition is
+        topology-determined.  This is the flow half of every fat-tree
+        fingerprint; per-pod state is on ``flow_shards`` directly.
         """
         shards_ = self.flow_shards
         out: Dict[str, np.ndarray] = {
@@ -626,176 +357,6 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                          "f_rate", "f_alpha", "f_active", "f_core")}
         out["f_path"] = np.concatenate([sh.f_path[:sh._n_flows]
                                         for sh in shards_])
-        return out
-
-    # ------------------------------------------------------------ dynamics
-    def advance(self, dt: float) -> None:
-        """Advance virtual time by ``dt`` (an integer number of steps)."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        steps = max(1, int(round(dt / self.config.step_dt)))
-        step_dt = self.config.step_dt
-        for _ in range(steps):
-            self._step(step_dt)
-        reg = get_registry()
-        if reg:
-            reg.inc("netsim.advance_calls", sim="fluid_shard")
-            reg.inc("netsim.steps", steps, sim="fluid_shard")
-            reg.inc("netsim.virtual_s", dt, sim="fluid_shard")
-
-    def _group_payload(self, group: Sequence[Subdomain],
-                       arrival: np.ndarray) -> List[Dict[str, np.ndarray]]:
-        buffer_bytes = float(self.config.switch_buffer_bytes)
-        return [{"q_len": self.q_len[s.start:s.stop],
-                 "q_cap": self.q_cap[s.start:s.stop],
-                 "kmin": self.kmin[s.start:s.stop],
-                 "kmax": self.kmax[s.start:s.stop],
-                 "pmax": self.pmax[s.start:s.stop],
-                 "arrival": arrival[s.start:s.stop],
-                 "buffer_bytes": buffer_bytes}
-                for s in group]
-
-    def _step_subdomains(self, arrival: np.ndarray, dt: float) -> Tuple[
-            np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Queue integration, one shard group at a time.
-
-        Every subdomain receives its slice of the merged arrival vector,
-        steps independently, and the results land in disjoint slices of
-        the preallocated output rows in task-id order — so the shard
-        count can never change a bit.  Three transports, same bits:
-        in-process (``engine=None`` or one group), shared-memory arena
-        (Engine + arena: workers write the rows in place, nothing is
-        pickled), or pickled block payloads (Engine without arena).
-        """
-        groups = self.shard_groups
-        buffer_bytes = float(self.config.switch_buffer_bytes)
-        outs = (self._served, self._new_qlen, self._drops, self._p_mark,
-                self._srv_ratio)
-        if self._engine is None or len(groups) == 1:
-            for g in groups:
-                for s in g:
-                    res = integrate_queue_block(
-                        self.q_len[s.start:s.stop],
-                        self.q_cap[s.start:s.stop],
-                        self.kmin[s.start:s.stop],
-                        self.kmax[s.start:s.stop],
-                        self.pmax[s.start:s.stop],
-                        arrival[s.start:s.stop], dt, buffer_bytes)
-                    for dst, src in zip(outs, res):
-                        dst[s.start:s.stop] = src
-        elif self._arena is not None:
-            # Zero-copy: groups are contiguous, so each task is one
-            # [lo, hi) span of the arena; workers fill the output rows.
-            specs = [TaskSpec(task_id=t, fn=_integrate_arena_span,
-                              args=(self._arena.name, self.n_queues,
-                                    g[0].start, g[-1].stop, dt,
-                                    buffer_bytes))
-                     for t, g in enumerate(groups)]
-            self._engine.run(specs).values()   # raises on task failure
-        else:
-            specs = [TaskSpec(task_id=t, fn=_integrate_block_group,
-                              args=(self._group_payload(g, arrival), dt))
-                     for t, g in enumerate(groups)]
-            results = self._engine.run(specs).values()
-            for group, group_res in zip(groups, results):
-                for sub, res in zip(group, group_res):
-                    for dst, src in zip(outs, res):
-                        dst[sub.start:sub.stop] = src
-        return outs
-
-    def _step(self, dt: float) -> None:
-        """One Δt — the reference :meth:`FluidNetwork._step` phases, each
-        decomposed over the topology-fixed partitions: flow phases per
-        owner pod (in pod order), queue integration per subdomain block,
-        feedback per owner pod (in pod order)."""
-        cfg = self.config
-        self.now += dt
-        shards_ = self.flow_shards
-        for sh in shards_:
-            sh.now = self.now
-            sh._activate_due()
-        if not any(sh._n_flows for sh in shards_):
-            self._acc_qlen_area += self.q_len * dt
-            self._acc_time += dt
-            return
-
-        # --- flow phase per owner pod, then the boundary merge ------------
-        arrival = self._arrival
-        arrival.fill(0.0)
-        boundary = [sh._flow_phase(arrival) for sh in shards_]
-        rows = 0
-        for b in boundary:   # fixed owner-pod merge order
-            if b is not None:
-                bq, bw = b
-                arrival[bq] += bw
-                rows += bq.size
-        self._last_boundary_rows = rows
-
-        # --- sharded queue integration & marking --------------------------
-        served_rate, new_qlen, drops, p_mark, srv_ratio = \
-            self._step_subdomains(arrival, dt)
-
-        # --- stats --------------------------------------------------------
-        self._acc_tx += served_rate * dt
-        self._acc_marked += served_rate * dt * p_mark
-        self._acc_qlen_area += 0.5 * (self.q_len + new_qlen) * dt
-        self._acc_drops += drops
-        self._acc_time += dt
-        # copy, not rebind: q_len may be an arena row the workers map
-        np.copyto(self.q_len, new_qlen)
-
-        # --- feedback/AIMD/completion per owner pod -----------------------
-        for sh in shards_:
-            sh._feedback_phase(dt, p_mark, srv_ratio, self.q_len, self.q_cap)
-
-        # --- latency sampling: one random active flow per step ------------
-        if len(self.latencies) < cfg.latency_sample_cap:
-            total = 0
-            for sh in shards_:
-                total += sh._act_idx.size
-            if total:
-                # one draw over the (pod, slot)-ordered concatenation —
-                # the same RNG consumption for every shard count
-                r = int(self.rng.integers(total))
-                for sh in shards_:
-                    k = sh._act_idx.size
-                    if r < k:
-                        i = int(sh._act_idx[r])
-                        self.latencies.append(
-                            (self.now,
-                             cfg.base_rtt / 2.0 + sh._qdelay[i]))
-                        break
-                    r -= k
-
-    # ------------------------------------------------------------ stats
-    def _flow_observations(self) -> Dict[int, Dict[int, FlowObservation]]:
-        """Active-flow observations grouped by every switch on their path,
-        visiting flows in (owner pod, local slot) order — the canonical
-        order every fingerprint and shard count agrees on."""
-        out: Dict[int, Dict[int, FlowObservation]] = {}
-        if self._q_switch_list is None:
-            self._q_switch_list = [int(s) for s in self.q_switch]
-        qsw = self._q_switch_list
-        flow_objs = self.flow_objs
-        now = self.now
-        for sh in self.flow_shards:
-            n = sh._n_flows
-            if n == 0:
-                continue
-            act = sh.f_active[:n].nonzero()[0]
-            if not act.size:
-                continue
-            seen_v = sh.f_size[act] - sh.f_remaining[act]
-            paths = sh.f_path[act].tolist()
-            idx_to_fid = sh._idx_to_fid
-            for i, seen, path_i in zip(act.tolist(), seen_v.tolist(), paths):
-                fid = idx_to_fid[i]
-                flow = flow_objs[fid]
-                obs = FlowObservation(fid, flow.src, flow.dst,
-                                      int(seen if seen > 1.0 else 1.0), now)
-                for q in path_i:
-                    if q >= 0:
-                        out.setdefault(qsw[q], {})[fid] = obs
         return out
 
     # ------------------------------------------------------------ failures
@@ -843,7 +404,7 @@ class ShardedFluidNetwork(SwitchStatsMixin):
                 self.q_cap[qu] = self.q_cap_nominal[qu] * link
                 self.q_cap[qd] = self.q_cap_nominal[qd] * link
         # Reroute flows whose core is unreachable on either end, owner
-        # pod by owner pod — same visit order for every shard count.
+        # pod by owner pod.
         for sh in self.flow_shards:
             for i in np.flatnonzero(sh.f_active[:sh._n_flows]):
                 c = int(sh.f_core[i])
@@ -862,26 +423,23 @@ class ShardedFluidNetwork(SwitchStatsMixin):
     def memory_report(self) -> Dict[str, Dict[str, int]]:
         """Resident queue- and flow-state bytes attributed per subdomain.
 
-        The capacity story of sharding: ``queue_bytes`` is what one
-        shard group's worker needs for the queue phase and scales with
-        the largest subdomain; ``flow_bytes`` is the owner pod's flow
-        table (the core plane owns none), scaling with the largest
-        *per-pod* concurrent flow count rather than the fabric total.
-        Mirrors — and refreshes — the ``netsim.shard_queue_bytes`` and
-        ``netsim.shard_flow_bytes`` gauges.
+        ``queue_bytes`` is the queue-sized state and scratch of the
+        subdomain's queues; ``flow_bytes`` is the owner pod's flow table
+        row (the core plane owns none), sized by the largest pod's flow
+        high-water mark.  Mirrors — and refreshes — the
+        ``netsim.shard_queue_bytes`` and ``netsim.shard_flow_bytes``
+        gauges.
         """
+        per_queue = 8 * (_FLOAT_ARRAYS_PER_QUEUE + self.config.n_pods + 1)
         report: Dict[str, Dict[str, int]] = {}
-        for i, sub in enumerate(self.subdomains):
-            flow_bytes = (self.flow_shards[i].flow_table_bytes()
-                          if i < len(self.flow_shards) else 0)
-            report[sub.name] = {
-                "queue_bytes": len(sub) * 8 * _FLOAT_ARRAYS_PER_QUEUE,
-                "flow_bytes": flow_bytes,
-            }
         reg = get_registry()
-        if reg:
-            for name, entry in report.items():
-                reg.set_gauge("netsim.shard_flow_bytes",
-                              float(entry["flow_bytes"]),
-                              sim="fluid_shard", subdomain=name)
+        for i, sub in enumerate(self.subdomains):
+            entry = {"queue_bytes": len(sub) * per_queue,
+                     "flow_bytes": (self.flow_shards[i].flow_table_bytes()
+                                    if i < len(self.flow_shards) else 0)}
+            report[sub.name] = entry
+            if reg:
+                for key, value in entry.items():
+                    reg.set_gauge(f"netsim.shard_{key}", float(value),
+                                  sim="fluid_shard", subdomain=sub.name)
         return report

@@ -46,16 +46,10 @@ class TestMain:
 
     def test_fattree_sharded_run(self, capsys):
         rc = main(["--scheme", "secn1", "--topology", "fattree",
-                   "--pods", "2", "--hosts-per-leaf", "2", "--shards", "2",
+                   "--pods", "2", "--hosts-per-leaf", "2",
                    "--duration", "0.01", "--pretrain", "0", "--no-incast"])
         assert rc == 0
         assert "overall_avg_fct" in capsys.readouterr().out
-
-    def test_shards_require_fattree_topology(self, capsys):
-        rc = main(["--scheme", "secn1", "--shards", "2",
-                   "--duration", "0.01", "--pretrain", "0"])
-        assert rc == 1
-        assert "--topology fattree" in capsys.readouterr().err
 
 
 class TestExitCodes:

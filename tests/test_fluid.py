@@ -202,6 +202,36 @@ class TestStatsInterface:
         assert len(net.latencies) > 0
         assert all(lat >= 0 for _, lat in net.latencies)
 
+    @pytest.mark.parametrize("fabric", ["leafspine", "fattree"])
+    def test_total_drops_counts_packets_across_intervals(self, fabric):
+        """``total_drops`` is a cumulative packet count, like
+        PacketNetwork's: ``queue_stats`` closing an interval must not
+        reset it, and it is in the 1000-byte packets queue_stats
+        reports, not bytes."""
+        no_marks = ECNConfig(20_000_000, 40_000_000, 0.01)
+        if fabric == "leafspine":
+            net = FluidNetwork(FluidConfig.small(), seed=0)
+        else:
+            from repro.netsim.fattree import FatTreeConfig
+            from repro.netsim.shard import ShardedFluidNetwork
+            net = ShardedFluidNetwork(FatTreeConfig(), seed=0)
+        net.set_ecn_all(no_marks)
+        net.start_flows([Flow(i, f"h{8 + i}", "h0", 5_000_000)
+                         for i in range(12)])           # 12 -> 1 incast
+        net.advance(5e-3)
+        first = net.queue_stats()
+        dropped = net.total_drops()
+        assert dropped > 0
+        assert dropped == sum(st.dropped_pkts for st in first.values())
+        net.advance(5e-3)
+        second = net.queue_stats()
+        total = net.total_drops()
+        assert total >= dropped
+        per_interval = sum(st.dropped_pkts
+                           for stats in (first, second)
+                           for st in stats.values())
+        assert per_interval <= total <= per_interval + 2 * len(second)
+
 
 class TestFailures:
     def test_fail_uplinks_reduces_capacity(self):
