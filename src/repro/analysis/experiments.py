@@ -450,8 +450,7 @@ def run_scenarios_batched(jobs: List, *,
 
 # --------------------------------------------------------------- grid fan-out
 def run_scenario_grid(jobs: List, *, workers: int = 1,
-                      engine=None, sim_batch: bool = False
-                      ) -> List[ExperimentResult]:
+                      sim_batch: bool = False) -> List[ExperimentResult]:
     """Run many independent ``(scheme, ScenarioConfig)`` jobs, optionally
     across worker processes.
 
@@ -469,11 +468,7 @@ def run_scenario_grid(jobs: List, *, workers: int = 1,
     """
     from repro.parallel.engine import Engine, TaskSpec
     if sim_batch:
-        if engine is not None:
-            raise ValueError("sim_batch=True runs in-process; pass "
-                             "engine=None (or drop sim_batch)")
         return run_scenarios_batched(jobs)
-    eng = engine if engine is not None else Engine(workers=workers)
     specs = [TaskSpec(task_id=i, fn=run_scenario, args=(scheme, cfg))
              for i, (scheme, cfg) in enumerate(jobs)]
-    return eng.run(specs).values()
+    return Engine(workers=workers).run(specs).values()

@@ -64,24 +64,21 @@ def _run_cell(args) -> SweepCell:
 
 
 def run_sweep_report(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
-                     workers: int = 1, engine: Optional[Engine] = None
-                     ) -> EngineReport:
+                     workers: int = 1) -> EngineReport:
     """Run the grid through the rollout engine; returns the full report.
 
-    The report carries per-task wall times and structured failures on
-    top of the cell values — ``python -m repro bench`` uses it for the
-    per-stage breakdown.  Task ids follow :meth:`SweepSpec.cells` order.
+    The report carries per-task wall times, retries and structured
+    failures on top of the cell values.  Task ids follow
+    :meth:`SweepSpec.cells` order.
     """
     base = base or ScenarioConfig()
-    eng = engine if engine is not None else Engine(workers=workers)
     specs = [TaskSpec(task_id=i, fn=_run_cell, args=((s, l, w, base),))
              for i, (s, l, w) in enumerate(spec.cells())]
-    return eng.run(specs)
+    return Engine(workers=workers).run(specs)
 
 
 def run_sweep(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
-              workers: int = 1, engine: Optional[Engine] = None,
-              sim_batch: bool = False) -> List[SweepCell]:
+              workers: int = 1, sim_batch: bool = False) -> List[SweepCell]:
     """Run every cell of the grid; cells return in grid order.
 
     Parameters
@@ -93,9 +90,6 @@ def run_sweep(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
     workers:
         1 = serial in-process (pretraining cache shared across cells);
         >1 = a :class:`repro.parallel.Engine` process pool of that size.
-    engine:
-        Pre-configured engine to use instead of ``workers`` (custom
-        retry policy, queue depth, mp context).
     sim_batch:
         Step every cell's simulator as one replica of a
         :class:`repro.netsim.batchfluid.BatchFluidNetwork` — the whole
@@ -114,9 +108,6 @@ def run_sweep(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
         packet-simulator scenarios).
     """
     if sim_batch:
-        if engine is not None:
-            raise ValueError("sim_batch=True runs in-process; pass "
-                             "engine=None (or drop sim_batch)")
         base = base or ScenarioConfig()
         cells = spec.cells()
         jobs = [(s, replace(base, load=l, workload=w)) for s, l, w in cells]
@@ -124,8 +115,7 @@ def run_sweep(spec: SweepSpec, base: Optional[ScenarioConfig] = None, *,
         return [SweepCell(scheme=s, load=l, workload=w,
                           metrics=res.summary_row())
                 for (s, l, w), res in zip(cells, results)]
-    return run_sweep_report(spec, base, workers=workers,
-                            engine=engine).values()
+    return run_sweep_report(spec, base, workers=workers).values()
 
 
 def sweep_table_rows(cells: Sequence[SweepCell],

@@ -380,19 +380,19 @@ def pretrain_multi_seed(make_network: Callable[[int], object],
                         seeds: Optional[Sequence[int]] = None,
                         n_seeds: Optional[int] = None, seed_root: int = 0,
                         episodes: int = 1, intervals_per_episode: int = 1000,
-                        workers: int = 1, engine=None,
+                        workers: int = 1,
                         checkpoint_dir: Optional[str] = None,
                         checkpoint_every: int = 500,
                         sim_batch: bool = False) -> List[SeedRunResult]:
     """Fan independent per-seed offline trainings across workers.
 
     The multi-seed analogue of :func:`pretrain_offline_multi`: each seed
-    is one :class:`repro.parallel.TaskSpec` executed by the pluggable
-    ``engine`` (default: a fresh :class:`repro.parallel.Engine` with
-    ``workers`` processes).  Seeds default to the spawn-key derivation
-    ``derive_seed(seed_root, i)``; results come back ordered by task id,
-    so ``workers=1`` and ``workers=N`` return identical lists
-    (``tests/test_determinism.py`` locks this down).
+    is one :class:`repro.parallel.TaskSpec` executed by a
+    :class:`repro.parallel.Engine` with ``workers`` processes.  Seeds
+    default to the spawn-key derivation ``derive_seed(seed_root, i)``;
+    results come back ordered by task id, so ``workers=1`` and
+    ``workers=N`` return identical lists (``tests/test_determinism.py``
+    locks this down).
 
     ``sim_batch=True`` selects the sim-as-batch replica backend instead
     of the process pool: all seeds' simulators step as one
@@ -411,14 +411,10 @@ def pretrain_multi_seed(make_network: Callable[[int], object],
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     if sim_batch:
-        if engine is not None:
-            raise ValueError("sim_batch=True steps every seed in-process; "
-                             "pass engine=None (or drop sim_batch)")
         return _pretrain_seeds_batched(
             make_network, config, seeds=seeds, episodes=episodes,
             intervals_per_episode=intervals_per_episode,
             checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every)
-    eng = engine if engine is not None else Engine(workers=workers)
     specs = [TaskSpec(task_id=i, fn=pretrain_one_seed,
                       args=(make_network, config),
                       kwargs={"seed": s, "episodes": episodes,
@@ -427,7 +423,7 @@ def pretrain_multi_seed(make_network: Callable[[int], object],
                               "checkpoint_every": checkpoint_every},
                       seed=s)
              for i, s in enumerate(seeds)]
-    return eng.run(specs).values()
+    return Engine(workers=workers).run(specs).values()
 
 
 def _pretrain_seeds_batched(make_network: Callable[[int], object],

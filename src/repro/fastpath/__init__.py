@@ -8,9 +8,8 @@ per-agent Python loops in :class:`repro.rl.ippo.IPPOTrainer` with a
 single batched forward per tick.
 
 Every fastpath is **bit-identical** to the reference loop it replaces
-(proved by fingerprint verification in ``python -m repro bench
---hotpath`` and the differential tests in ``tests/test_fastpath.py``);
-the reference implementations remain available behind
+(proved by the differential tests in ``tests/test_fastpath.py``); the
+reference implementations remain available behind
 ``PETConfig.fastpath=False`` / ``PPOConfig.fastpath=False``.
 
 See ``docs/PERFORMANCE.md`` for the hot-path inventory.

@@ -31,7 +31,7 @@ a standalone network that continues bit-identically on its own.
 
 Memory scales as ``R * flow_capacity * (H + c)`` floats plus
 ``R * Q`` per queue-space buffer — see docs/PERFORMANCE.md for the
-sizing discussion and the ``sim_batch`` benchmark workload.
+sizing discussion and the ``pretrain_batch`` end-to-end workload.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ Two heap layouts are supported:
   keys on exactly the same ``(time, seq)`` pair.
 - **reference** (``fastpath=False``): the heap stores ``Event`` objects
   ordered by ``Event.__lt__``, the pre-existing implementation kept for
-  differential testing (``python -m repro bench --hotpath`` proves the
-  two bit-identical).
+  differential testing (``tests/test_fastpath.py`` proves the two
+  bit-identical).
 
 ``pending()`` is O(1) in both modes via a live-event counter maintained
 at schedule/cancel/pop; the original O(n) heap scan remains as a debug

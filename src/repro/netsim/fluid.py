@@ -560,8 +560,7 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin, SegmentKernel):
 
         :meth:`~repro.netsim.kernel.SegmentKernel._kernel_step` is the
         allocation-reduced production step; the two are bit-identical
-        (proved by ``bench --hotpath`` fingerprints and
-        ``tests/test_fastpath.py`` differentials).
+        (proved by the ``tests/test_fastpath.py`` differentials).
         """
         cfg = self.config
         self.now += dt

@@ -1,10 +1,9 @@
 """Profiling hooks — opt-in cProfile wrapper and hot-path attribution.
 
-``perfbench`` (``python -m repro bench --profile``) uses
-:func:`hot_path_attribution` to turn the tracer's span timings into the
-per-stage breakdown BENCH files report: how much of a run's wall time
-went to ``net.advance`` vs ``controller.decide`` vs ``ppo.update`` —
-the attribution the ROADMAP's perf work needs before optimizing.
+``python -m repro trace`` uses :func:`hot_path_attribution` to turn
+the tracer's span timings into its per-stage summary: how much of a
+run's wall time went to ``net.advance`` vs ``controller.decide`` vs
+``ppo.update``.
 
 :func:`profiled` is a plain cProfile context for ad-hoc deep dives::
 
@@ -24,12 +23,6 @@ from typing import Dict, Iterator, Optional
 from repro.obs.trace import Tracer, get_tracer
 
 __all__ = ["profiled", "profile_table", "hot_path_attribution"]
-
-#: span names whose totals constitute the hot-path breakdown.
-HOT_PATH_SPANS = ("loop.tick", "net.advance", "net.queue_stats",
-                  "controller.decide", "pet.ingest", "pet.act",
-                  "ppo.update", "env.step", "scenario.pretrain",
-                  "scenario.measure", "engine.run")
 
 
 @contextmanager
@@ -57,8 +50,8 @@ def hot_path_attribution(tracer: Optional[Tracer] = None
     """Per-stage totals (seconds + span counts) from recorded spans.
 
     Returns ``{span_name: {"total_s": ..., "count": ..., "mean_s": ...}}``
-    for every hot-path span name that actually appeared, so BENCH
-    reports gain per-stage attribution without guessing at ratios.
+    for every span name that appeared; events are left out.  Totals are
+    inclusive: a span's time also counts in its enclosing spans.
     """
     tr = tracer if tracer is not None else get_tracer()
     out: Dict[str, Dict[str, float]] = {}

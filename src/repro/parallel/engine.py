@@ -140,20 +140,6 @@ class EngineReport:
     def failures(self) -> List[TaskFailure]:
         return [o.failure for o in self.outcomes if o.failure is not None]
 
-    @property
-    def n_tasks(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def tasks_per_second(self) -> float:
-        if self.wall_time_s <= 0:
-            return 0.0
-        return len(self.outcomes) / self.wall_time_s
-
-    def task_seconds(self) -> List[float]:
-        """Per-task in-worker wall times, in task-id order."""
-        return [o.wall_time_s for o in self.outcomes]
-
     def values(self, *, strict: bool = True) -> List[Any]:
         """Task values in task-id order.
 

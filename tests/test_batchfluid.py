@@ -4,7 +4,7 @@ The sim-as-batch contract is the same one fastpath and parallel already
 prove elsewhere: **bit-identity**.  Every replica of a
 :class:`BatchFluidNetwork` must be indistinguishable — canonical
 fingerprints over the full observable surface, same discipline as
-``bench --hotpath`` — from a solo :class:`FluidNetwork` advanced with
+``tests/test_fastpath.py`` — from a solo :class:`FluidNetwork` advanced with
 the same seed/config.  These tests pin that contract across replica
 counts R ∈ {1, 2, 8}, heterogeneous per-replica ECN configs, mid-run
 ``set_ecn`` divergence, flow start/finish boundaries, chaos variants,
@@ -20,7 +20,8 @@ from repro.netsim.batchfluid import BatchCompatError, BatchFluidNetwork
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
-from repro.parallel.perfbench import _fingerprint
+
+from tests.fingerprint import _fingerprint
 
 CFG = FluidConfig.small()
 

@@ -19,8 +19,8 @@ from repro.netsim.batchfluid import BatchFluidNetwork
 from repro.netsim.ecn import ECNConfig
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
-from repro.parallel.perfbench import _fingerprint
 
+from tests.fingerprint import _fingerprint
 from tests.test_batchfluid import load_traffic, state_fp
 
 

@@ -148,8 +148,8 @@ class TestParallelTrainingDeterminism:
             checkpoint_dir=ckpt_dir, checkpoint_every=20)
 
     def test_workers1_vs_workers4_identical(self, tmp_path):
-        from repro.parallel.perfbench import _fingerprint
         from repro.rl.checkpoint import CheckpointManager
+        from tests.fingerprint import _fingerprint
 
         d1, d4 = str(tmp_path / "w1"), str(tmp_path / "w4")
         r1 = self._run(1, d1)

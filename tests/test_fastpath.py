@@ -4,8 +4,7 @@ The fastpath contract is *bit-identity*: every optimized implementation
 (batched cross-agent inference, vectorized GAE, fused Adam, tuple-heap
 event loop, scratch-buffer fluid step) must produce exactly the bytes
 the pre-existing reference loops produce, across seeds and workloads.
-These tests pin that contract; ``python -m repro bench --hotpath``
-re-proves it on the full benchmark workloads.
+These tests pin that contract.
 """
 
 import numpy as np
@@ -17,6 +16,8 @@ from repro.rl.gae import compute_gae, discounted_returns
 from repro.rl.ippo import IPPOTrainer
 from repro.rl.nn import MLP, clip_gradients
 from repro.rl.ppo import PPOConfig
+
+from tests.fingerprint import _fingerprint
 
 
 def _canon(x):
@@ -166,29 +167,98 @@ def test_clip_gradients_pins_pre_clip_norm():
 
 
 # ------------------------------------------------------------ simulators
+# Each helper builds one small workload with the given ``fastpath`` flag,
+# runs it, and returns everything it observed; the two legs must
+# fingerprint identically.
+
+def traffic_net(seed, duration, load=0.6, fastpath=True):
+    """A small leaf-spine fluid network loaded with Poisson websearch flows."""
+    from repro.netsim.fluid import FluidConfig, FluidNetwork
+    from repro.traffic.generator import PoissonTrafficGenerator, TrafficConfig
+    from repro.traffic.workloads import workload_by_name
+
+    fabric = FluidConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                         host_rate_bps=10e9, spine_rate_bps=40e9)
+    net = FluidNetwork(fabric, seed=seed, fastpath=fastpath)
+    gen = PoissonTrafficGenerator(net.host_names(),
+                                  workload_by_name("websearch"),
+                                  rng=np.random.default_rng(seed + 1))
+    net.start_flows(gen.generate(TrafficConfig(
+        load=load, duration=duration, host_rate_bps=fabric.host_rate_bps,
+        start_time=0.0)))
+    return net
+
+
+def _fluid_sim(fastpath, intervals=50):
+    from repro.netsim.ecn import ECNConfig
+
+    net = traffic_net(3, intervals * 1e-3, load=0.7, fastpath=fastpath)
+    net.set_ecn_all(ECNConfig(kmin_bytes=20_000, kmax_bytes=80_000,
+                              pmax=0.2))
+    stats = []
+    for _ in range(intervals):
+        net.advance(1e-3)
+        stats.append(net.queue_stats())
+    return {"stats": stats, "q_len": net.q_len.copy()}
+
+
+def _packet_sim(fastpath, n_flows=12, intervals=20):
+    from repro.netsim.flow import Flow
+    from repro.netsim.network import PacketNetwork
+    from repro.netsim.topology import TopologyConfig
+
+    topo = TopologyConfig(n_spine=1, n_leaf=2, hosts_per_leaf=2,
+                          host_rate_bps=2e8, spine_rate_bps=8e8)
+    net = PacketNetwork(topo, seed=0, fastpath=fastpath)
+    rng = np.random.default_rng(7)
+    hosts = net.host_names()
+    flows = []
+    for i in range(n_flows):
+        src, dst = rng.choice(len(hosts), size=2, replace=False)
+        flows.append(Flow(i, hosts[src], hosts[dst],
+                          int(rng.integers(20_000, 300_000)),
+                          start_time=float(rng.uniform(0, 2e-3))))
+    net.start_flows(flows)
+    stats = []
+    for _ in range(intervals):
+        net.advance(1e-3)
+        stats.append(net.queue_stats())
+    return {"stats": stats,
+            "events": net.sim.events_processed,
+            "latencies": list(net.latencies),
+            "finished": [(f.flow_id, f.finish_time)
+                         for f in net.finished_flows]}
+
+
+def _tick_loop(fastpath, intervals=60):
+    from repro.core.config import PETConfig
+    from repro.core.pet import PETController
+    from repro.core.training import run_control_loop
+
+    net = traffic_net(0, intervals * 1e-3, fastpath=fastpath)
+    cfg = PETConfig(delta_t=1e-3, update_interval=16, seed=0,
+                    fastpath=fastpath)
+    pet = PETController(net.switch_names(), cfg)
+    res = run_control_loop(net, pet, intervals=intervals, delta_t=1e-3)
+    return {"trace": res.reward_trace,
+            "rewards": res.rewards_per_switch,
+            "state": pet.state_dict(),
+            "q_len": net.q_len.copy()}
+
+
 def test_fluid_network_fastpath_bit_identical():
-    from repro.fastpath.bench import HOTPATH_WORKLOADS, fingerprint
-    run_f, _ = HOTPATH_WORKLOADS["fluid_sim"](True, True)
-    run_r, _ = HOTPATH_WORKLOADS["fluid_sim"](False, True)
-    assert fingerprint(run_f()) == fingerprint(run_r())
+    assert _fingerprint(_fluid_sim(True)) == _fingerprint(_fluid_sim(False))
 
 
 def test_packet_network_fastpath_bit_identical():
-    from repro.fastpath.bench import HOTPATH_WORKLOADS, fingerprint
-    run_f, _ = HOTPATH_WORKLOADS["packet_sim"](True, True)
-    run_r, _ = HOTPATH_WORKLOADS["packet_sim"](False, True)
-    assert fingerprint(run_f()) == fingerprint(run_r())
+    assert _fingerprint(_packet_sim(True)) == _fingerprint(_packet_sim(False))
 
 
 def test_control_loop_fastpath_bit_identical():
-    from repro.fastpath.bench import HOTPATH_WORKLOADS, fingerprint
-    run_f, _ = HOTPATH_WORKLOADS["tick_loop"](True, True)
-    run_r, _ = HOTPATH_WORKLOADS["tick_loop"](False, True)
-    assert fingerprint(run_f()) == fingerprint(run_r())
+    assert _fingerprint(_tick_loop(True)) == _fingerprint(_tick_loop(False))
 
 
-# The bench workloads above exercise the networks through the harness;
-# the two tests below construct the twins *directly* so the reference
+# The two tests below construct the twins *directly* so the reference
 # legs of FluidNetwork/PacketNetwork (__init__, advance, queue_stats,
 # _flow_observations with fastpath=False) are pinned by name — the
 # PET103 dual-path-parity contract.
@@ -229,26 +299,3 @@ def test_packet_network_reference_twin_direct():
         stats[fastpath] = net.queue_stats()
     assert stats[True] == stats[False]
 
-
-# ------------------------------------------------------------ bench harness
-def test_hotpath_bench_quick_smoke(tmp_path):
-    import json
-
-    from repro.fastpath.bench import hotpath_main
-
-    out = tmp_path / "bench.json"
-    rc = hotpath_main(["--quick", "--repeat", "1", "--workload", "ppo_update",
-                       "--out", str(out), "--no-attribution"])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    (w,) = report["workloads"]
-    assert w["name"] == "ppo_update" and w["results_match"] is True
-    # regression guard: a doctored baseline with a huge speedup must fail
-    doctored = dict(report)
-    doctored["workloads"] = [dict(w, speedup=w["speedup"] * 100)]
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps(doctored))
-    rc = hotpath_main(["--quick", "--repeat", "1", "--workload", "ppo_update",
-                       "--out", str(out), "--no-attribution",
-                       "--baseline", str(base)])
-    assert rc != 0

@@ -21,7 +21,8 @@ from repro.netsim.ecn import ECNConfig
 from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.shard import ShardedFluidNetwork
-from repro.parallel.perfbench import _fingerprint
+
+from tests.fingerprint import _fingerprint
 
 #: seed -> sha256 of :func:`_golden_run`'s canonical record.
 GOLDEN = {

@@ -6,7 +6,7 @@ Two acceptance properties of the observability PR:
    every instrumented layer — control loop, simulator, PET pipeline,
    RL update, fault events — plus the metrics summary.
 2. Telemetry is *zero-overhead when disabled*: a pretraining run is
-   bit-identical (perfbench fingerprint) whether it executes before,
+   bit-identical (``tests.fingerprint``) whether it executes before,
    during, or after an enabled-telemetry run.
 """
 
@@ -18,7 +18,9 @@ import repro.obs as obs
 from repro.core.training import pretrain_one_seed
 from repro.obs.cli import trace_main
 from repro.obs.export import OBS_SCHEMA, read_jsonl
-from repro.parallel.perfbench import _bench_train_network, _fingerprint
+
+from tests.fingerprint import _fingerprint
+from tests.test_fastpath import traffic_net
 
 
 @pytest.fixture(autouse=True)
@@ -73,7 +75,7 @@ class TestTraceCLI:
 
 def _tiny_pretrain():
     """A short, seeded offline pretraining run (the acceptance workload)."""
-    make = partial(_bench_train_network, duration=0.03, load=0.4)
+    make = partial(traffic_net, duration=0.03, load=0.4)
     return pretrain_one_seed(make, None, seed=3, episodes=1,
                              intervals_per_episode=30)
 

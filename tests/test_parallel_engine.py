@@ -122,11 +122,9 @@ class TestOrderedResults:
 
     def test_report_bookkeeping(self):
         report = map_tasks(_square, [1, 2, 3], workers=1)
-        assert report.n_tasks == 3
+        assert len(report.outcomes) == 3
         assert report.workers == 1
         assert report.retries == 0
-        assert len(report.task_seconds()) == 3
-        assert report.tasks_per_second > 0
 
     def test_duplicate_task_ids_rejected(self):
         specs = [TaskSpec(task_id=0, fn=_square, args=(1,)),

@@ -20,7 +20,8 @@ from repro.netsim.fattree import FatTreeConfig
 from repro.netsim.flow import Flow
 from repro.netsim.routing import ecmp_hash, splitmix64
 from repro.netsim.shard import ShardedFluidNetwork
-from repro.parallel.perfbench import _fingerprint
+
+from tests.fingerprint import _fingerprint
 
 
 # ------------------------------------------------------------- helpers

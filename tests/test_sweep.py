@@ -1,6 +1,7 @@
 """Tests for the sweep utility (serial and process-parallel)."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.analysis.report import format_table
 from repro.analysis.sweep import (SweepCell, SweepSpec, run_sweep,
                                   sweep_table_rows)
 from repro.netsim.fluid import FluidConfig
+
+from tests.fingerprint import _fingerprint
 
 
 def tiny_base():
@@ -41,8 +44,7 @@ class TestRunSweep:
         spec = SweepSpec(schemes=("secn1",), loads=(0.4,))
         serial = run_sweep(spec, tiny_base(), workers=1)
         parallel = run_sweep(spec, tiny_base(), workers=2)
-        assert serial[0].metrics["overall_avg_fct"] == pytest.approx(
-            parallel[0].metrics["overall_avg_fct"])
+        assert _fingerprint(serial) == _fingerprint(parallel)
 
     def test_base_substitution(self):
         spec = SweepSpec(schemes=("secn1",), loads=(0.3, 0.5))
@@ -72,7 +74,6 @@ class TestSimBatchSweep:
 
     @staticmethod
     def _canon(cells):
-        from repro.parallel.perfbench import _fingerprint
         return _fingerprint([(c.scheme, c.load, c.workload, c.metrics)
                              for c in cells])
 
@@ -96,18 +97,10 @@ class TestSimBatchSweep:
         with pytest.raises(BatchCompatError, match="fluid"):
             run_sweep(spec, base, sim_batch=True)
 
-    def test_rejects_engine_combination(self):
-        from repro.parallel.engine import Engine
-        spec = SweepSpec(schemes=("secn1",), loads=(0.4,))
-        with pytest.raises(ValueError, match="sim_batch"):
-            run_sweep(spec, tiny_base(), sim_batch=True,
-                      engine=Engine(workers=1))
-
     def test_grid_helper_sim_batch(self):
         from repro.analysis.experiments import (clear_pretrain_cache,
                                                 run_scenario,
                                                 run_scenario_grid)
-        from repro.parallel.perfbench import _fingerprint
         base = tiny_base()
         jobs = [("secn1", base), ("secn2", base)]
         clear_pretrain_cache()
@@ -116,3 +109,17 @@ class TestSimBatchSweep:
         bat = run_scenario_grid(jobs, sim_batch=True)
         assert [_fingerprint(r.summary_row()) for r in ref] == \
             [_fingerprint(r.summary_row()) for r in bat]
+
+
+class TestScenarioGrid:
+    def test_parallel_grid_matches_serial(self):
+        """run_scenario_grid through a 2-worker Engine returns exactly the
+        serial results, job for job (the engine's bit-identity contract)."""
+        from repro.analysis.experiments import run_scenario_grid
+        jobs = [(scheme, replace(tiny_base(), seed=seed, incast=True,
+                                 incast_fan_in=2))
+                for scheme in ("secn1", "pet") for seed in (0, 1)]
+        serial = run_scenario_grid(jobs, workers=1)
+        parallel = run_scenario_grid(jobs, workers=2)
+        assert [_fingerprint(r) for r in serial] == \
+            [_fingerprint(r) for r in parallel]

@@ -76,7 +76,7 @@ class TestPretrainMultiSeedSimBatch:
 
     @staticmethod
     def _canon(results):
-        from repro.parallel.perfbench import _fingerprint
+        from tests.fingerprint import _fingerprint
         return _fingerprint([
             (r.seed, r.state,
              [(ep.intervals, ep.mean_reward, ep.rewards_per_switch,
@@ -100,13 +100,6 @@ class TestPretrainMultiSeedSimBatch:
         dirs = sorted(p.name for p in tmp_path.iterdir())
         assert dirs == ["seed-00000001", "seed-00000002"]
         assert all(any(p.iterdir()) for p in tmp_path.iterdir())
-
-    def test_rejects_engine_combination(self):
-        from repro.core.training import pretrain_multi_seed
-        from repro.parallel.engine import Engine
-        with pytest.raises(ValueError, match="sim_batch"):
-            pretrain_multi_seed(make_net, None, seeds=[1, 2],
-                                sim_batch=True, engine=Engine(workers=1))
 
     def test_rejects_non_fluid_networks(self):
         from repro.core.training import pretrain_multi_seed
