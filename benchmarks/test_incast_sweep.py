@@ -8,8 +8,6 @@ hard bottleneck), and PET's shorter queues keep the *background mice*
 faster than the static scheme as the incast pressure rises.
 """
 
-import numpy as np
-
 from conftest import cached_run, print_banner, standard_scenario
 from repro.analysis.report import format_table
 

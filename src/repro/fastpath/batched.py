@@ -29,7 +29,7 @@ per-agent loop.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 

@@ -204,8 +204,11 @@ class FlowTableMixin:
         # afterwards — the former pop(0)-per-flow loop was O(k·P) in the
         # pending backlog P every step.
         pend = self._pending
+        now = self.now
+        cfg = self.config
+        start_rate = cfg.start_rate_fraction * cfg.host_rate_bps / 8.0
         consumed = 0
-        while consumed < len(pend) and pend[consumed].start_time <= self.now:
+        while consumed < len(pend) and pend[consumed].start_time <= now:
             flow = pend[consumed]
             consumed += 1
             if self._n_flows >= self._cap_flows:
@@ -218,8 +221,7 @@ class FlowTableMixin:
             self.f_dst[idx] = self._host_index(flow.dst)
             self.f_size[idx] = flow.size_bytes
             self.f_remaining[idx] = flow.size_bytes
-            self.f_rate[idx] = (self.config.start_rate_fraction
-                                * self.config.host_rate_bps / 8.0)
+            self.f_rate[idx] = start_rate
             self.f_alpha[idx] = 1.0
             self.f_active[idx] = True
             self._route(idx)
@@ -524,9 +526,8 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin, SegmentKernel):
         cfg = self.config
         src, dst = int(self.f_src[idx]), int(self.f_dst[idx])
         jl, jr = self._leaf_of(src), self._leaf_of(dst)
-        path = np.full(self._MAX_HOPS, -1, dtype=np.int64)
         if jl == jr:
-            path[0] = self._ld0 + dst
+            self.f_path[idx] = (self._ld0 + dst, -1, -1)
             self.f_spine[idx] = -1
         else:
             live = [s for s in range(cfg.n_spine)
@@ -539,10 +540,9 @@ class FluidNetwork(FlowTableMixin, SwitchStatsMixin, SegmentKernel):
             # interpreter versions (PET007).
             s = live[ecmp_hash(fid, len(live))]
             self.f_spine[idx] = s
-            path[0] = self._lu0 + jl * cfg.n_spine + s
-            path[1] = self._sd0 + s * cfg.n_leaf + jr
-            path[2] = self._ld0 + dst
-        self.f_path[idx] = path
+            self.f_path[idx] = (self._lu0 + jl * cfg.n_spine + s,
+                                self._sd0 + s * cfg.n_leaf + jr,
+                                self._ld0 + dst)
 
     # ------------------------------------------------------------ dynamics
     # (flow registration/activation lives in FlowTableMixin)

@@ -19,23 +19,44 @@ instance — the replica network itself, or a pod's
 views of that row, so slot allocation, activation, routing and
 completion records stay per segment.
 
-The kernel is bit-identical to the reference
+Each sub-step issues a fixed, small number of NumPy calls whatever the
+flow count: sums run over every slot below the high-water mark instead
+of a gathered active subset, and the per-flow path terms come from one
+gather.  The kernel is bit-identical to the reference
 :meth:`~repro.netsim.fluid.FluidNetwork._step` by construction:
 
 - every elementwise ladder keeps the reference's operation order
   (commutative scalar products aside, which are exact in IEEE-754);
+- all-slot sums add exact zeros: ``send`` is ``+0.0`` on every
+  inactive (finished or never used) slot, so its stale ``src``/``path``
+  row still lands in a valid bin but adds ``+0.0``.  Every bin starts
+  at ``0.0`` and only sums non-negative terms, and ``x + 0.0 == x``,
+  so each bin still holds its real contributions in slot order;
 - NIC sharing sums each host's flows in slot order (one bincount;
   replica r's host h is bin ``r*n_hosts + h``, pods partition hosts);
-- arrivals sum hop-major within a segment (one bincount over
-  per-segment blocks, queue q of segment s at ``s*(Q+1) + q + 1``;
-  padded hops (-1) land in the block's leading dummy slot);
+- arrivals sum hop-major within a segment (one bincount over a
+  hop-major index, queue q of segment s at ``s*(Q+1) + q + 1``; padded
+  hops (-1) land in the block's leading dummy slot);
+- the per-flow path terms are gathered from a per-queue-space table
+  ``ext`` with rows ``1 - p_mark``, ``cap / max(arrival, cap)`` and
+  ``q_len / cap`` behind an identity column 0 (``1.0``, ``1.0``,
+  ``0.0``), by the same ``path + 1`` index, so a padded hop reads the
+  exact identity: x1.0 in the no-mark product, min(., 1.0) in the
+  bottleneck (the ratio is <= 1), +0.0 in the queueing delay.  Dividing
+  ``q_len / cap`` per queue before the gather gives the values the
+  reference divides after it;
+- those terms are reduced over the *leading* hop axis of a C-contiguous
+  ``(H, ...)`` block, which accumulates row by row, ``(h0 o h1) o h2``
+  — the reference's order (over a trailing hop axis ``add.reduce`` may
+  group the terms as ``h0 + (h1 + h2)``);
 - on a shared queue space a queue's arrival starts with its owner
   pod's partial sum, then adds every other pod's in pod order (core
   queues: pod order) — adding exact zeros for pods that do not touch
   the queue, which leaves the sums unchanged.
 
 At S = 1 every flow view is a flat 1-D slice and no per-segment offset
-work runs.  Flow scratch is sized to the flow high-water mark.
+work runs.  Flow scratch is sized to the flow high-water mark, and its
+width-``n`` views are built once per high-water mark.
 """
 
 from __future__ import annotations
@@ -108,6 +129,7 @@ class SegmentKernel:
         # itself, so it stays cycle-free and refcounting releases it.
         self._tables = None if tables[0] is self else tables
         self._cap = cap
+        self._views = None
         for s in range(S):
             self._point_views(s)
 
@@ -115,13 +137,27 @@ class SegmentKernel:
         nq = self.n_queues
         qshape = self.q_len.shape
         for name in ("_b_served", "_b_qlen_next", "_b_drops", "_b_span",
-                     "_b_pmark", "_b_qtmp", "_b_srv", "_b_onem"):
+                     "_b_pmark", "_b_qtmp"):
             setattr(self, name, np.zeros(qshape))
+        # per-flow path terms, one (Q+1)-row per queue space, identity
+        # column first (see the module docstring)
+        ext = np.zeros((3,) + qshape[:-1] + (nq + 1,))
+        ext[:2, ..., 0] = 1.0
+        self._ext = ext.reshape(3, -1)
+        self._ext_nomark, self._ext_srv, self._ext_qdelay = ext[..., 1:]
         spaces = S if self._REPLICA_AXIS else 1
         self._b_hosts = np.ones(spaces * self.config.n_hosts)
         self._fw = 0                  # flow-scratch width (high-water)
-        if self._REPLICA_AXIS and S > 1:
-            self._qoff = (np.arange(S, dtype=np.int64) * nq)[:, None, None]
+        # bin offsets of segment s: its hosts (replicas only) and its
+        # arrival block; on a shared queue space the gather drops the
+        # block offset again
+        self._arr_off = 1
+        if S > 1:
+            seg = np.arange(S, dtype=np.int64)[:, None]
+            self._host_off = seg * self.config.n_hosts \
+                if self._REPLICA_AXIS else 0
+            self._block_off = seg * (nq + 1)
+            self._arr_off = self._block_off + 1
         if queue_owner is not None and S > 1:
             owned = np.flatnonzero(queue_owner >= 0)
             self._own_q = owned
@@ -155,6 +191,7 @@ class SegmentKernel:
         grown_path[:, :old] = self._f_path
         self._f_path = grown_path
         self._cap = new
+        self._views = None
         for s in range(S):
             self._point_views(s)
 
@@ -165,21 +202,61 @@ class SegmentKernel:
             setattr(self, "_" + name, None)
         self._f_path = None
         self._fw = 0
+        self._views = None
 
     def _alloc_flow_scratch(self, n: int) -> None:
+        """Flat flow scratch for ``w >= n`` slots per segment, so that
+        every width-``n`` view of it is C-contiguous."""
         S, _, hops = self._f_path.shape
         w = min(self._cap, max(n, 2 * self._fw))
-        for name in ("_s_send", "_s_nomark", "_s_bneck", "_s_qdelay",
-                     "_s_mark", "_s_f1", "_s_f2"):
-            setattr(self, name, np.zeros((S, w)))
-        self._s_m1 = np.zeros((S, w), dtype=bool)
-        self._s_m2 = np.zeros((S, w), dtype=bool)
-        self._s_notval = np.zeros((S, w, hops), dtype=bool)
-        self._s_g2 = np.zeros((S, w, hops))
-        self._s_d2 = np.zeros((S, w, hops))
-        if self._REPLICA_AXIS and S > 1:
-            self._s_safe = np.zeros((S, w, hops), dtype=np.int64)
+        m = S * w
+        self._s_float = np.zeros((6, m))
+        self._s_mask = np.zeros(m, dtype=bool)
+        self._s_bins = np.zeros(m, dtype=np.int64)
+        self._s_idx = np.zeros(hops * m, dtype=np.int64)
+        self._s_w = np.zeros(hops * m)
+        self._s_g = np.zeros(3 * hops * m)
         self._fw = w
+
+    def _flow_views(self, n: int) -> "_FlowViews":
+        """Width-``n`` views of the flow storage and scratch, kept until
+        ``n`` or the storage changes."""
+        if self._fw < n:
+            self._alloc_flow_scratch(n)
+        S, _, hops = self._f_path.shape
+        v = _FlowViews()
+        v.n = n
+        if S == 1:
+            fl, shape = (0, slice(0, n)), (n,)
+            v.path_t = self._f_path[0, :n].T
+        else:
+            fl, shape = (slice(None), slice(0, n)), (S, n)
+            v.path_t = self._f_path[:, :n].transpose(2, 0, 1)
+        v.active = self._f_active[fl]
+        v.rate = self._f_rate[fl]
+        v.src = self._f_src[fl]
+        v.alpha = self._f_alpha[fl]
+        v.remaining = self._f_remaining[fl]
+        m = S * n
+        v.send_flat = self._s_float[0, :m]
+        v.qdelay_flat = self._s_float[3, :m]
+        v.send, v.mark, v.bneck, v.qdelay, v.f1, v.f2 = (
+            row[:m].reshape(shape) for row in self._s_float)
+        v.mask_flat = self._s_mask[:m]
+        v.mask = v.mask_flat.reshape(shape)
+        if S == 1:                    # a storage row is contiguous already
+            v.bins_flat = v.bins = v.src
+        else:
+            v.bins_flat = self._s_bins[:m]
+            v.bins = v.bins_flat.reshape(shape)
+        hshape = (hops,) + shape
+        v.idx_flat = self._s_idx[:hops * m]
+        v.idx = v.idx_flat.reshape(hshape)
+        v.w_flat = self._s_w[:hops * m]
+        v.w = v.w_flat.reshape(hshape)
+        v.g = self._s_g[:3 * hops * m].reshape((3,) + hshape)
+        self._views = v
+        return v
 
     # ------------------------------------------------------------ dynamics
     def _stepper(self):
@@ -216,10 +293,12 @@ class SegmentKernel:
     def _kernel_step(self, dt: float) -> None:
         """One Δt for every segment — bit-identical to the reference step.
 
-        Temporaries live in preallocated scratch, gathers happen once
-        per step, ``np.clip`` becomes ``maximum``/``minimum`` pairs and
-        masked updates use ``where=``/``copyto``, which leave unselected
-        elements untouched like the reference's fancy-index assignments.
+        Temporaries live in preallocated scratch, sums run over every
+        slot below the high-water mark, one gather serves all per-flow
+        path terms, ``np.clip`` becomes ``maximum``/``minimum`` pairs
+        and masked updates use ``where=``/``copyto``, which leave
+        unselected elements untouched like the reference's fancy-index
+        assignments.
         """
         cfg = self.config
         tables = self._segments
@@ -237,7 +316,7 @@ class SegmentKernel:
                 t.now = self.now
                 t._activate_due()
             clocks = (self,)
-        n = max(t._n_flows for t in tables)
+        n = tables[0]._n_flows if S == 1 else max(t._n_flows for t in tables)
         q_len = self.q_len
         qtmp = self._b_qtmp
         if n == 0:
@@ -253,51 +332,40 @@ class SegmentKernel:
             dead = np.array([t._n_flows == 0 for t in tables])
             if not dead.any():
                 dead = None
-        if self._fw < n:
-            self._alloc_flow_scratch(n)
-        fl = (0 if S == 1 else slice(None), slice(0, n))
-        active = self._f_active[fl]
-        nz = active.nonzero()                 # segment-major, slot order
-        rate = self._f_rate[fl]
+        v = self._views
+        if v is None or v.n != n:
+            v = self._flow_views(n)
+        active = v.active
+        rate = v.rate
 
         # --- NIC sharing: cap the sum of a host's flow rates at line rate.
+        # Rates are finite and >= 0, so ``send`` is ``rate`` on active
+        # slots and exactly +0.0 on all others.
         line = cfg.host_rate_bps / 8.0
-        src = self._f_src[fl]
-        send = self._s_send[fl]
-        send.fill(0.0)
-        np.copyto(send, rate, where=active)
-        send_idx = send[nz]
-        bins = src[nz]
-        if replica and S > 1:
-            bins += nz[0] * cfg.n_hosts
+        send = v.send
+        np.multiply(rate, active, out=send)
+        bins = v.bins
+        if S > 1:
+            np.add(v.src, self._host_off, out=bins)
         scale = self._b_hosts
-        per_src = np.bincount(bins, weights=send_idx, minlength=scale.size)
-        over = per_src > line
-        if over.any():
+        per_src = np.bincount(v.bins_flat, weights=v.send_flat,
+                              minlength=scale.size)
+        if np.maximum.reduce(per_src) > line:
+            over = per_src > line
             scale.fill(1.0)
             scale[over] = line / per_src[over]
             # x * 1.0 is exact, so flows of hosts under the cap (and
             # replicas with none over it) are bit-unchanged.
-            if replica and S > 1:
-                send *= np.take_along_axis(
-                    scale.reshape(S, cfg.n_hosts), src, axis=1)
-            else:
-                send *= scale[src]
-            send_idx = send[nz]
+            send *= scale[bins]
 
         # --- arrivals per queue ------------------------------------------
-        # One hop-major bincount: hop 0 of every flow, then hop 1, ... —
+        # One hop-major bincount: hop 0 of every slot, then hop 1, ... —
         # within each (segment, queue) bin the reference's order.
         nq = self.n_queues
-        path = self._f_path[fl]
-        p_idx = path[nz]
-        if S > 1:
-            p_idx += (nz[0] * (nq + 1) + 1)[:, None]
-        else:
-            p_idx += 1
-        hops = path.shape[-1]
-        blocks = np.bincount(p_idx.T.ravel(),
-                             weights=np.tile(send_idx, hops),
+        idx = v.idx
+        np.add(v.path_t, self._arr_off, out=idx)
+        v.w[...] = send
+        blocks = np.bincount(v.idx_flat, weights=v.w_flat,
                              minlength=S * (nq + 1))
         if S == 1:
             arrival = blocks[1:]
@@ -305,6 +373,7 @@ class SegmentKernel:
             arrival = blocks.reshape(S, nq + 1)[:, 1:]
         else:
             arrival = self._merge_arrivals(blocks)
+            idx -= self._block_off       # one queue space: path + 1
 
         # --- queue integration & marking -----------------------------------
         cap = self.q_cap
@@ -361,86 +430,60 @@ class SegmentKernel:
             q_len = new_qlen
 
         # --- end-to-end mark fraction per flow --------------------------------
-        # Whole-path gathers + hop-sequential reductions.  Padding
-        # identities are IEEE-exact: invalid hops contribute x1.0 to the
-        # no-mark product, min(., 1.0) to the bottleneck (srv_ratio <= 1)
-        # and +0.0 to the queueing delay.  Inactive slots compute garbage
-        # that is never committed (the updates below mask on ``active``,
-        # and ``send`` is exactly 0.0 for them).
-        srv_ratio = self._b_srv
+        # One gather of the three per-queue terms by ``path + 1`` (padded
+        # hops read the identity column), then hop-sequential reductions
+        # over the leading hop axis.  Inactive slots compute garbage that
+        # is never committed (the updates below mask on ``active``, and
+        # ``send`` is exactly 0.0 for them).
+        np.subtract(1.0, p_mark, out=self._ext_nomark)
+        srv_ratio = self._ext_srv
         np.maximum(arrival, cap, out=srv_ratio)
         np.divide(cap, srv_ratio, out=srv_ratio)   # <=1 where overloaded
-        if replica and S > 1:
-            safe = self._s_safe[fl]
-            np.add(path, self._qoff, out=safe)
-        else:
-            safe = path
-        notval = self._s_notval[fl]
-        np.less(path, 0, out=notval)
-        g2 = self._s_g2[fl]
-        d2 = self._s_d2[fl]
-        one_m = self._b_onem
-        np.subtract(1.0, p_mark, out=one_m)
-        # mode="clip": a padded hop gathers some real queue's value,
-        # overwritten through ``notval`` right after.
-        one_m.take(safe, out=g2, mode="clip")
-        np.copyto(g2, 1.0, where=notval)
-        no_mark = self._s_nomark[fl]
-        np.copyto(no_mark, g2[..., 0])
-        for hop in range(1, hops):
-            no_mark *= g2[..., hop]
-        srv_ratio.take(safe, out=d2, mode="clip")
-        np.copyto(d2, 1.0, where=notval)
-        bottleneck = self._s_bneck[fl]
-        np.copyto(bottleneck, d2[..., 0])
-        for hop in range(1, hops):
-            np.minimum(bottleneck, d2[..., hop], out=bottleneck)
-        q_len.take(safe, out=d2, mode="clip")
-        cap.take(safe, out=g2, mode="clip")
-        d2 /= g2
-        np.copyto(d2, 0.0, where=notval)
-        qdelay = self._s_qdelay[fl]
-        np.copyto(qdelay, d2[..., 0])
-        for hop in range(1, hops):
-            qdelay += d2[..., hop]
-        f1 = self._s_f1[fl]
-        f2 = self._s_f2[fl]
-        mark_frac = self._s_mark[fl]
-        np.subtract(1.0, no_mark, out=mark_frac)
+        np.divide(q_len, cap, out=self._ext_qdelay)
+        g = v.g
+        self._ext.take(idx, axis=1, out=g, mode="clip")
+        mark_frac = v.mark
+        np.multiply.reduce(g[0], axis=0, out=mark_frac)     # no-mark product
+        np.subtract(1.0, mark_frac, out=mark_frac)
+        bottleneck = v.bneck
+        np.minimum.reduce(g[1], axis=0, out=bottleneck)
+        qdelay = v.qdelay
+        np.add.reduce(g[2], axis=0, out=qdelay)
+        f1 = v.f1
+        f2 = v.f2
 
         # --- DCQCN-like AIMD ---------------------------------------------------
-        a = self._f_alpha[fl]
+        # A ufunc's ``where=`` writes only the selected elements of
+        # ``out``, like the reference's masked assignments.
+        a = v.alpha
         np.multiply(a, 1.0 - cfg.g, out=f1)
         np.multiply(mark_frac, cfg.g, out=f2)
-        f1 += f2
-        np.copyto(a, f1, where=active)
+        np.add(f1, f2, out=a, where=active)
         np.multiply(a, 0.5, out=f1)
         f1 *= cfg.md_gain
         f1 *= mark_frac
-        np.subtract(1.0, f1, out=f1)
-        f1 *= rate                                  # rate * cut
+        np.subtract(1.0, f1, out=f1)                # cut
         grow = cfg.ai_fraction * line
         np.add(rate, grow, out=f2)                  # rate + grow
-        marked = self._s_m1[fl]
+        marked = v.mask
         np.greater(mark_frac, 1e-3, out=marked)
-        np.copyto(f2, f1, where=marked)             # == where(marked, f1, f2)
+        np.multiply(rate, f1, out=f2, where=marked)  # rate * cut if marked
         floor = cfg.min_rate_fraction * line
         np.maximum(f2, floor, out=f2)
-        np.minimum(f2, line, out=f2)
-        np.copyto(rate, f2, where=active)
+        np.minimum(f2, line, out=rate, where=active)
 
         # --- progress & completion ---------------------------------------------
         np.multiply(send, bottleneck, out=f1)       # throughput
         f1 *= dt
-        remaining = self._f_remaining[fl]
+        remaining = v.remaining
         remaining -= f1
-        finished = self._s_m2[fl]
+        finished = v.mask
         np.less_equal(remaining, 0.0, out=finished)
         finished &= active
-        if finished.any():
-            fz = finished.nonzero()
-            rows = fz[0].tolist() if S > 1 else [0] * fz[0].size
-            for r, i, qd in zip(rows, fz[-1].tolist(), qdelay[fz]):
+        done = v.mask_flat.nonzero()[0]             # segment-major, slot order
+        if done.size:
+            for k, qd in zip(done.tolist(), v.qdelay_flat[done]):
+                r, i = divmod(k, n)
                 t = tables[r]
                 flow = t.flow_objs[t._idx_to_fid.pop(i)]
                 # account residual queueing delay into the FCT
@@ -468,5 +511,41 @@ class SegmentKernel:
             az = active.nonzero()
             if az[0].size:
                 j = self.rng.integers(az[0].size)
-                self.latencies.append(
-                    (self.now, half_rtt + qdelay[tuple(a[j] for a in az)]))
+                at = az[0][j] if S == 1 else tuple(a[j] for a in az)
+                self.latencies.append((self.now, half_rtt + qdelay[at]))
+
+
+class _FlowViews:
+    """Width-``n`` views of one front-end's flow storage and scratch.
+
+    1-D when S == 1, else ``(S, n)``; ``idx``/``w`` are hop-major
+    ``(H, [S,] n)`` and ``g`` is the ``(3, H, [S,] n)`` gather block.
+    Each ``*_flat`` array is the contiguous 1-D view of its namesake.
+    """
+
+    n: int
+    # flow storage
+    active: np.ndarray
+    rate: np.ndarray
+    src: np.ndarray
+    alpha: np.ndarray
+    remaining: np.ndarray
+    path_t: np.ndarray
+    # scratch
+    send: np.ndarray
+    send_flat: np.ndarray
+    mark: np.ndarray
+    bneck: np.ndarray
+    qdelay: np.ndarray
+    qdelay_flat: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    mask: np.ndarray
+    mask_flat: np.ndarray
+    bins: np.ndarray
+    bins_flat: np.ndarray
+    idx: np.ndarray
+    idx_flat: np.ndarray
+    w: np.ndarray
+    w_flat: np.ndarray
+    g: np.ndarray

@@ -42,9 +42,10 @@ __all__ = ["Subdomain", "FlowShard", "ShardedFluidNetwork"]
 
 #: float64 arrays held per queue: the RED/state arrays, ``q_cap_nominal``
 #: and the four interval accumulators (10) plus the kernel's queue
-#: scratch (8) and merged arrival (1); the per-pod arrival partials add
-#: ``n_pods + 1`` more (see :meth:`ShardedFluidNetwork.memory_report`).
-_FLOAT_ARRAYS_PER_QUEUE = 19
+#: scratch (6), per-flow path-term table (3) and merged arrival (1); the
+#: per-pod arrival partials add ``n_pods + 1`` more (see
+#: :meth:`ShardedFluidNetwork.memory_report`).
+_FLOAT_ARRAYS_PER_QUEUE = 20
 
 
 class Subdomain:
@@ -282,35 +283,32 @@ class ShardedFluidNetwork(SwitchStatsMixin, SegmentKernel):
         ps, pd = cfg.pod_of_host(src), cfg.pod_of_host(dst)
         es, ed = cfg.edge_of_host(src), cfg.edge_of_host(dst)
         h_local = dst % cfg.hosts_per_pod
-        path = np.full(self._MAX_HOPS, -1, dtype=np.int64)
         fid = tbl._idx_to_fid[idx]
         if ps == pd and es == ed:
-            path[0] = self._q_edge_down(pd, h_local)
+            tbl.f_path[idx] = (self._q_edge_down(pd, h_local), -1, -1, -1, -1)
             tbl.f_core[idx] = -1
         elif ps == pd:
             # intra-pod: pick an aggregation switch (pod-internal links
             # have no failure bit, so every agg is live)
             a = ecmp_hash(fid, cfg.agg_per_pod)
-            path[0] = self._q_edge_up(ps, es, a)
-            path[1] = self._q_agg_down(pd, a, ed)
-            path[2] = self._q_edge_down(pd, h_local)
+            tbl.f_path[idx] = (self._q_edge_up(ps, es, a),
+                               self._q_agg_down(pd, a, ed),
+                               self._q_edge_down(pd, h_local), -1, -1)
             tbl.f_core[idx] = -1
         else:
             # inter-pod: pick a core live on both ends; the core fixes
             # the aggregation switch (a = c // core_per_agg) in each pod
-            live = [c for c in range(cfg.n_core)
-                    if self.uplink_up[ps, c] and self.uplink_up[pd, c]]
-            if not live:
-                live = list(range(cfg.n_core))   # partitioned: keep old path
-            c = live[ecmp_hash(fid, len(live))]
+            live = np.flatnonzero(self.uplink_up[ps] & self.uplink_up[pd])
+            if not live.size:
+                live = range(cfg.n_core)         # partitioned: keep old path
+            c = int(live[ecmp_hash(fid, len(live))])
             a = c // cfg.core_per_agg
-            path[0] = self._q_edge_up(ps, es, a)
-            path[1] = self._q_agg_up(ps, c)
-            path[2] = self._q_core_down(c, pd)
-            path[3] = self._q_agg_down(pd, a, ed)
-            path[4] = self._q_edge_down(pd, h_local)
+            tbl.f_path[idx] = (self._q_edge_up(ps, es, a),
+                               self._q_agg_up(ps, c),
+                               self._q_core_down(c, pd),
+                               self._q_agg_down(pd, a, ed),
+                               self._q_edge_down(pd, h_local))
             tbl.f_core[idx] = c
-        tbl.f_path[idx] = path
 
     # ------------------------------------------------------------ flow intake
     def start_flow(self, flow: Flow) -> None:

@@ -20,7 +20,9 @@ guarantees the figure pipeline depends on (docs/PARALLEL.md):
 4. **crash recovery** — a task whose worker process dies (segfault,
    OOM-kill, ``os._exit``) is retried once in an isolated single-worker
    pool; a second death records a structured :class:`TaskFailure`
-   instead of hanging or poisoning the batch.  Ordinary exceptions are
+   instead of hanging or poisoning the batch.  A task whose submission
+   finds the pool already broken never ran: it is requeued, attempt
+   count intact, into the recycled pool.  Ordinary exceptions are
    captured as failures immediately (they are deterministic — retrying
    cannot help) with the traceback preserved.  With ``task_timeout_s``
    set, a *hung* worker is bounded too: past the budget its processes
@@ -344,8 +346,18 @@ class Engine:
                 while queue and len(in_flight) < self.queue_depth:
                     pending = queue.popleft()
                     pending.attempts += 1
-                    fut = pool.submit(_execute_payload, pending.payload,
-                                      collect)
+                    try:
+                        fut = pool.submit(_execute_payload, pending.payload,
+                                          collect)
+                    except BrokenProcessPool:
+                        # A worker died before the queue drained; this
+                        # task never ran, so it keeps its attempt.
+                        pending.attempts -= 1
+                        queue.appendleft(pending)
+                        pool, retried = self._recycle_pool(
+                            pool, [], in_flight, deadlines, outcomes, collect)
+                        retries += retried
+                        continue
                     in_flight[fut] = pending
                     if self.task_timeout_s is not None:
                         deadlines[fut] = time.monotonic() + self.task_timeout_s
@@ -376,31 +388,45 @@ class Engine:
                     else:
                         outcomes.append(outcome)
                 if crashed:
-                    # The pool is broken: every other in-flight future is
-                    # about to fail the same way.  Drain them, recycle the
-                    # pool, and give each affected task its isolated retry.
-                    if in_flight:
-                        wait(list(in_flight))
-                        # Drain order is immaterial: outcomes are re-sorted
-                        # by task id before the merge.
-                        for fut, pending in in_flight.items():  # pet: noqa-PET104
-                            outcome = self._classify(fut, pending)
-                            if outcome is None:
-                                crashed.append(pending)
-                            else:
-                                outcomes.append(outcome)
-                        in_flight.clear()
-                    deadlines.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    for pending in crashed:
-                        outcome, retried = self._retry_isolated(pending,
-                                                                collect)
-                        retries += retried
-                        outcomes.append(outcome)
-                    pool = self._new_pool(self.workers)
+                    pool, retried = self._recycle_pool(
+                        pool, crashed, in_flight, deadlines, outcomes, collect)
+                    retries += retried
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         return outcomes, retries
+
+    def _recycle_pool(self, pool: ProcessPoolExecutor,
+                      crashed: List[_Pending],
+                      in_flight: Dict[Future, _Pending],
+                      deadlines: Dict[Future, float],
+                      outcomes: List[TaskOutcome], collect: bool
+                      ) -> Tuple[ProcessPoolExecutor, int]:
+        """Replace a broken pool; return the new pool and the retry count.
+
+        Every in-flight future of a broken pool is about to fail the
+        same way: drain them, recycle the pool, and give each crash
+        casualty (``crashed`` plus any the drain finds) its isolated
+        retry.
+        """
+        if in_flight:
+            wait(list(in_flight))
+            # Drain order is immaterial: outcomes are re-sorted by task
+            # id before the merge.
+            for fut, pending in in_flight.items():  # pet: noqa-PET104
+                outcome = self._classify(fut, pending)
+                if outcome is None:
+                    crashed.append(pending)
+                else:
+                    outcomes.append(outcome)
+            in_flight.clear()
+        deadlines.clear()
+        pool.shutdown(wait=False, cancel_futures=True)
+        retries = 0
+        for pending in crashed:
+            outcome, retried = self._retry_isolated(pending, collect)
+            retries += retried
+            outcomes.append(outcome)
+        return self._new_pool(self.workers), retries
 
     def _expire_tasks(self, expired: Sequence[Future],
                       pool: ProcessPoolExecutor,

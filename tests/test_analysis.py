@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.analysis.fct import (ELEPHANT_BUCKET_MIN, MICE_BUCKET_MAX,

@@ -12,12 +12,10 @@ random (R, topology, flow-schedule) batches the invariants are
   never-batched ones.
 """
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.batchfluid import BatchFluidNetwork
 from repro.netsim.ecn import ECNConfig
-from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 
 from tests.fingerprint import _fingerprint

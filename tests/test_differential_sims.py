@@ -16,7 +16,6 @@ Deliberately cheap — 1e8 b/s host links keep the packet run to a few
 hundred packets, well inside the tier-1 time budget.
 """
 
-import numpy as np
 import pytest
 
 from repro.netsim.batchfluid import BatchFluidNetwork

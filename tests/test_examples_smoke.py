@@ -8,7 +8,6 @@ documented in the README.
 
 import importlib.util
 import os
-import sys
 
 import pytest
 

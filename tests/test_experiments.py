@@ -8,7 +8,6 @@ from repro.analysis.experiments import (SCHEMES, ExperimentResult,
                                         run_scenario)
 from repro.baselines.acc import ACCController
 from repro.baselines.static_ecn import StaticECNController
-from repro.core.config import PETConfig
 from repro.core.pet import PETController
 from repro.netsim.fluid import FluidConfig
 

@@ -299,3 +299,127 @@ def test_packet_network_reference_twin_direct():
         stats[fastpath] = net.queue_stats()
     assert stats[True] == stats[False]
 
+
+
+# ------------------------------------------------------------ fluid kernel
+# The kernel sums over *every* slot below the flow high-water mark (an
+# inactive slot adds an exact +0.0 through its stale src/path row) and
+# gathers the per-hop terms behind an identity column (a padded hop
+# reads x1.0 / min(., 1.0) / +0.0).  These differentials drive exactly
+# those cases against the reference ``FluidNetwork._step``.
+
+def _kernel_fabric():
+    from repro.netsim.fluid import FluidConfig
+
+    # tiny initial capacity: the flow storage grows mid-run
+    return FluidConfig(n_spine=2, n_leaf=2, hosts_per_leaf=3,
+                       host_rate_bps=1e9, spine_rate_bps=2e9,
+                       initial_flow_capacity=4)
+
+
+def _kernel_flows(seed):
+    """Staggered mice and elephants: mice finish within a few steps and
+    leave holes; bursts of three flows from h0 overload its NIC; every
+    third burst stays inside leaf 0 (a one-hop path)."""
+    from repro.netsim.flow import Flow
+
+    rng = np.random.default_rng(seed)
+    flows = []
+    for burst in range(12):
+        start = float(rng.uniform(0.0, 8e-3))
+        for k in range(3):
+            dst = "h1" if burst % 3 == 0 else f"h{3 + k}"
+            flows.append(Flow(len(flows), "h0", dst,
+                              int(rng.choice([3_000, 40_000, 400_000])),
+                              start_time=start))
+        src, dst = rng.choice(6, size=2, replace=False)
+        flows.append(Flow(len(flows), f"h{src}", f"h{dst}",
+                          int(rng.integers(2_000, 200_000)),
+                          start_time=float(rng.uniform(0.0, 8e-3))))
+    return flows
+
+
+def _kernel_event(net, i):
+    """Control-plane changes between advances (applied to any network)."""
+    from repro.netsim.ecn import ECNConfig
+
+    if i == 20:
+        net.set_ecn("leaf0", ECNConfig(kmin_bytes=2_000, kmax_bytes=20_000,
+                                       pmax=0.5))
+    elif i == 35:
+        net.set_fabric_capacity_factor(0.5)
+    elif i == 50:
+        net.fail_uplinks(0.5, rng=np.random.default_rng(3))
+    elif i == 65:
+        net.restore_uplinks()
+        net.set_fabric_capacity_factor(1.0)
+
+
+def _kernel_observe(net):
+    n = net._n_flows
+    return {"stats": net.queue_stats(), "q_len": net.q_len.copy(),
+            "flows": [getattr(net, name)[:n].copy()
+                      for name in ("f_rate", "f_alpha", "f_remaining",
+                                   "f_active", "f_spine", "f_path")],
+            "finished": [(f.flow_id, f.finish_time)
+                         for f in net.finished_flows],
+            "latencies": list(net.latencies)}
+
+
+_KERNEL_ADVANCES = 100
+
+
+def _kernel_solo(fastpath, seed, *, idle=False, witness=None):
+    from repro.netsim.fluid import FluidNetwork
+
+    net = FluidNetwork(_kernel_fabric(), seed=seed, fastpath=fastpath)
+    if not idle:
+        net.start_flows(_kernel_flows(seed))
+    line = net.config.host_rate_bps / 8.0
+    trace = []
+    for i in range(_KERNEL_ADVANCES):
+        _kernel_event(net, i)
+        net.advance(2 * net.config.step_dt)
+        if witness is not None:
+            n = net._n_flows
+            act = net.f_active[:n]
+            if act.any():
+                per_host = np.bincount(net.f_src[:n][act],
+                                       weights=net.f_rate[:n][act])
+                witness["holes"] |= bool((~act).any())
+                witness["nic_over"] |= bool((per_host > line).any())
+                witness["one_hop"] |= bool((net.f_path[:n][act, 1] < 0).any())
+        trace.append(_kernel_observe(net))
+    return trace
+
+
+def test_kernel_all_slot_sums_and_identity_padding_bit_identical():
+    witness = {"holes": False, "nic_over": False, "one_hop": False}
+    fast = _kernel_solo(True, 11, witness=witness)
+    # the kernel really stepped over free slots below the high-water
+    # mark, an over-subscribed NIC and one-hop (padded) paths
+    assert witness == {"holes": True, "nic_over": True, "one_hop": True}
+    assert _fingerprint(fast) == _fingerprint(_kernel_solo(False, 11))
+
+
+def test_batch_kernel_with_idle_replica_matches_solo_references():
+    from repro.netsim.batchfluid import BatchFluidNetwork
+    from repro.netsim.fluid import FluidNetwork
+
+    seeds, idle = (11, 12, 13), 1
+    nets = [FluidNetwork(_kernel_fabric(), seed=s) for s in seeds]
+    for r, net in enumerate(nets):
+        if r != idle:
+            net.start_flows(_kernel_flows(seeds[r]))
+    batch = BatchFluidNetwork.from_networks(nets)
+    traces = [[] for _ in seeds]
+    for i in range(_KERNEL_ADVANCES):
+        for net in batch.views():
+            _kernel_event(net, i)
+        batch.advance(2 * batch.config.step_dt)
+        for r, net in enumerate(batch.views()):
+            traces[r].append(_kernel_observe(net))
+    assert not traces[idle][-1]["finished"]
+    for r, seed in enumerate(seeds):
+        ref = _kernel_solo(False, seed, idle=r == idle)
+        assert _fingerprint(traces[r]) == _fingerprint(ref), f"replica {r}"

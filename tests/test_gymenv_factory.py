@@ -1,7 +1,6 @@
 """Gym bridge with caller-supplied network factories."""
 
 import numpy as np
-import pytest
 
 from repro.core.config import PETConfig
 from repro.gymenv import DCNEnv, EnvConfig, MultiAgentDCNEnv

@@ -6,11 +6,9 @@ actually move the network, and the pretraining cache behaves.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.experiments import (ScenarioConfig, clear_pretrain_cache,
                                         run_scenario)
-from repro.analysis.fct import normalized_fcts
 from repro.core.config import PETConfig
 from repro.core.pet import PETController
 from repro.core.training import run_control_loop

@@ -1,6 +1,5 @@
 """Edge-case tests across modules (paths not covered elsewhere)."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import PETConfig

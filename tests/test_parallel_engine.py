@@ -245,6 +245,46 @@ class TestCrashRecovery:
         assert failure.attempts == 2          # initial + one isolated retry
         assert report.outcomes[1].ok and report.outcomes[1].value == 16
 
+    def test_pool_broken_at_submit_requeues_and_recovers(self):
+        # A worker dies while the queue still has tasks: the next submit
+        # raises BrokenProcessPool.  Stub pools make the race
+        # deterministic — the first pool settles call 1, reports call 2
+        # as a worker death and refuses call 3; later pools just work.
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        class StubPool:
+            def __init__(self, break_after=None):
+                self.calls = 0
+                self.break_after = break_after
+
+            def submit(self, fn, *args):
+                self.calls += 1
+                if self.break_after is not None:
+                    if self.calls > self.break_after:
+                        raise BrokenProcessPool("worker died")
+                    if self.calls == self.break_after:
+                        fut = Future()
+                        fut.set_exception(BrokenProcessPool("worker died"))
+                        return fut
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        pools = [StubPool(break_after=2)]
+        engine = Engine(workers=WORKERS, queue_depth=4)
+        engine._new_pool = lambda workers: pools.pop(0) if pools \
+            else StubPool()
+        specs = [TaskSpec(task_id=i, fn=_square, args=(i,))
+                 for i in range(6)]
+        report = engine.run(specs)
+        assert report.values() == [i * i for i in range(6)]
+        assert [o.attempts for o in report.outcomes] == [1, 2, 1, 1, 1, 1]
+        assert report.retries == 1
+
     def test_crash_with_retries_disabled_fails_immediately(self):
         specs = [TaskSpec(task_id=0, fn=_crash_always, args=(None,))]
         report = run_tasks(specs, workers=WORKERS, max_retries=0)

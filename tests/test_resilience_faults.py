@@ -7,7 +7,7 @@ from repro.analysis.experiments import ScenarioConfig
 from repro.analysis.resilience import (fault_summary, first_fault_time,
                                        quarantine_spans)
 from repro.cli import main as repro_main
-from repro.netsim.ecn import SECN1, SECN2, ECNConfig
+from repro.netsim.ecn import SECN2
 from repro.netsim.failures import LinkFailureInjector
 from repro.netsim.fluid import FluidConfig, FluidNetwork
 from repro.netsim.network import PacketNetwork

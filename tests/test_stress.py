@@ -1,7 +1,6 @@
 """Stress tests: long runs, slot reuse, stats interplay."""
 
 import numpy as np
-import pytest
 
 from repro.netsim.flow import Flow
 from repro.netsim.fluid import FluidConfig, FluidNetwork

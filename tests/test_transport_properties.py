@@ -1,7 +1,6 @@
 """Property-based tests on transports and the fluid model's invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.ecn import ECNConfig

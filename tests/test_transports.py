@@ -1,6 +1,5 @@
 """Tests for the DCQCN / DCTCP / HPCC transports on the packet simulator."""
 
-import numpy as np
 import pytest
 
 from repro.netsim.ecn import ECNConfig
